@@ -28,13 +28,6 @@ def is_barred(a: str) -> bool:
     return a.endswith("b")
 
 
-def letter_index(a: str) -> int:
-    """The numeral part of a plain or barred letter."""
-    if a in ("0", "e"):
-        raise ValueError(f"letter {a!r} carries no index")
-    return int(a[:-1]) if a.endswith("b") else int(a)
-
-
 @dataclass(frozen=True)
 class TranslationData:
     """One table row: d, the colors i_1..i_d and the letters a_0..a_d."""
@@ -71,32 +64,16 @@ class AlgebraSpec:
 
     @property
     def index_set(self) -> tuple[int, ...]:
-        return tuple(range(self.rank + 1))
+        return _index_set(self.rank)
 
     @property
     def d(self) -> int:
-        n = self.rank
-        return {
-            "A1": n,
-            "A2odd": 2 * n - 1,
-            "A2even": 2 * n,
-            "B1": 2 * n - 1,
-            "C1": 2 * n,
-            "D1": 2 * n - 2,
-            "D2": 2 * n,
-        }[self.family]
+        return _d(self.family, self.rank)
 
     @property
     def coord_letters(self) -> tuple[str, ...]:
         """Stored coordinate slots, in the order elements are written."""
-        n = self.rank
-        if self.family == "A1":
-            return tuple(str(a) for a in range(1, n + 2))
-        plain = tuple(str(a) for a in range(1, n + 1))
-        barred = tuple(str(a) + "b" for a in range(n, 0, -1))
-        if self.family in ("B1", "D2"):
-            return plain + ("0",) + barred
-        return plain + barred
+        return _coord_letters(self.family, self.rank)
 
     @property
     def word_letters(self) -> tuple[str, ...]:
@@ -105,27 +82,12 @@ class AlgebraSpec:
         Includes the derived letters ("0" for A2even/C1, "e" for D2) that are
         not stored coordinates.
         """
-        n = self.rank
-        if self.family == "A1":
-            return self.coord_letters
-        plain = tuple(str(a) for a in range(1, n + 1))
-        barred = tuple(str(a) + "b" for a in range(n, 0, -1))
-        middle: tuple[str, ...] = ()
-        if self.family in ("B1", "A2even", "C1"):
-            middle = ("0",)
-        elif self.family == "D2":
-            middle = ("0", "e")
-        return plain + middle + barred
+        return _word_letters(self.family, self.rank)
 
     @property
     def a_letters(self) -> tuple[str, ...]:
         """The letter set {a_k | k in Z}: background letters of the automaton."""
-        if self.family == "A1":
-            return self.coord_letters
-        n = self.rank
-        return tuple(str(a) for a in range(1, n + 1)) + tuple(
-            str(a) + "b" for a in range(n, 0, -1)
-        )
+        return _a_letters(self.family, self.rank)
 
     # -- sigma -----------------------------------------------------------------
 
@@ -183,31 +145,13 @@ class AlgebraSpec:
 
     def index_at(self, k: int) -> int:
         """i_k for any integer k, via i_{k+d} = sigma^{-1}(i_k)."""
-        d = self.d
-        r = (k - 1) % d + 1
-        q = (k - r) // d
-        i = self.translation_data().i_seq[r - 1]
-        return self._sigma_index_pow(i, -q)
+        cycle = _sequences(self)[0]
+        return cycle[k % len(cycle)]
 
     def letter_at(self, k: int) -> str:
         """a_k for any integer k, via a_{k+d} = sigma^{-1}(a_k) letterwise."""
-        d = self.d
-        r = k % d
-        q = (k - r) // d
-        a = self.translation_data().a_seq[r]
-        return self._sigma_letter_pow(a, -q)
-
-    def _sigma_index_pow(self, i: int, power: int) -> int:
-        power %= self.sigma_order
-        for _ in range(power):
-            i = self.sigma_index(i)
-        return i
-
-    def _sigma_letter_pow(self, a: str, power: int) -> str:
-        power %= self.sigma_order
-        for _ in range(power):
-            a = self.sigma_letter(a)
-        return a
+        cycle = _sequences(self)[1]
+        return cycle[k % len(cycle)]
 
     # -- Dynkin diagram --------------------------------------------------------
 
@@ -231,6 +175,87 @@ class AlgebraSpec:
             edges |= {(i, i + 1) for i in range(2, n - 2)}
             return frozenset(edges)
         return frozenset((i, i + 1) for i in range(n))  # a path
+
+
+# Data derived from a spec, computed once per spec and shared (specs and the
+# tuples are immutable).  The AlgebraSpec properties above stay plain
+# properties that read these: perfbench/tracing.py wraps coord_letters' fget.
+
+
+@lru_cache(maxsize=None)
+def _index_set(n: int) -> tuple[int, ...]:
+    return tuple(range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _d(family: str, n: int) -> int:
+    return {
+        "A1": n,
+        "A2odd": 2 * n - 1,
+        "A2even": 2 * n,
+        "B1": 2 * n - 1,
+        "C1": 2 * n,
+        "D1": 2 * n - 2,
+        "D2": 2 * n,
+    }[family]
+
+
+def _plain(n: int) -> tuple[str, ...]:
+    return tuple(str(a) for a in range(1, n + 1))
+
+
+def _barred(n: int) -> tuple[str, ...]:
+    return tuple(str(a) + "b" for a in range(n, 0, -1))
+
+
+@lru_cache(maxsize=None)
+def _coord_letters(family: str, n: int) -> tuple[str, ...]:
+    if family == "A1":
+        return tuple(str(a) for a in range(1, n + 2))
+    if family in ("B1", "D2"):
+        return _plain(n) + ("0",) + _barred(n)
+    return _plain(n) + _barred(n)
+
+
+@lru_cache(maxsize=None)
+def _word_letters(family: str, n: int) -> tuple[str, ...]:
+    if family == "A1":
+        return _coord_letters(family, n)
+    middle: tuple[str, ...] = ()
+    if family in ("B1", "A2even", "C1"):
+        middle = ("0",)
+    elif family == "D2":
+        middle = ("0", "e")
+    return _plain(n) + middle + _barred(n)
+
+
+@lru_cache(maxsize=None)
+def _a_letters(family: str, n: int) -> tuple[str, ...]:
+    if family == "A1":
+        return _coord_letters(family, n)
+    return _plain(n) + _barred(n)
+
+
+@lru_cache(maxsize=None)
+def _sequences(spec: AlgebraSpec) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """One full period of k -> i_k and k -> a_k, indexed by k mod d * order(sigma).
+
+    i_{k+d} = sigma^{-1}(i_k) and a_{k+d} = sigma^{-1}(a_k), so both repeat
+    after d * order(sigma) steps.
+    """
+    td, d, order = spec.translation_data(), spec.d, spec.sigma_order
+    indices, letters = [], []
+    for k in range(d * order):
+        r = (k - 1) % d + 1
+        i = td.i_seq[r - 1]
+        for _ in range(((r - k) // d) % order):  # sigma^{-q}, k = q d + r
+            i = spec.sigma_index(i)
+        a = td.a_seq[k % d]
+        for _ in range((-(k // d)) % order):
+            a = spec.sigma_letter(a)
+        indices.append(i)
+        letters.append(a)
+    return tuple(indices), tuple(letters)
 
 
 @lru_cache(maxsize=None)

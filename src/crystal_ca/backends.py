@@ -10,6 +10,7 @@ automorphism, and S_i being an involution.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import dataclass, field
 
@@ -81,6 +82,7 @@ class GraphProvider:
         self.l = l
         self._f = f_edges
         self._e = {(i, dst): src for (i, src), dst in f_edges.items()}
+        self.digest = hashlib.sha256(repr(sorted(f_edges.items())).encode()).hexdigest()
         self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
         self._phi_cache: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -111,13 +113,23 @@ class GraphProvider:
 
 @dataclass
 class Providers:
-    """Per-capacity dispatch of the four structure queries."""
+    """Per-capacity dispatch of the four structure queries.
+
+    identity names the structure source ("builtin", or a digest of the graph
+    files' arrows by capacity); caches of derived data such as R tables key
+    on it, so one source's answers are never handed to another.
+    """
 
     spec: AlgebraSpec
     graphs: dict[int, GraphProvider] = field(default_factory=dict)
 
     def __post_init__(self):
         self._builtin = BuiltinA1(self.spec.rank) if self.spec.family == "A1" else None
+        if self.graphs:
+            blob = ";".join(f"{l}:{g.digest}" for l, g in sorted(self.graphs.items()))
+            self.identity = hashlib.sha256(blob.encode()).hexdigest()
+        else:
+            self.identity = "builtin"
 
     def provider_for(self, l: int):
         if l in self.graphs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraSpec, bar, is_barred
+from .algebra import AlgebraSpec, _coord_letters, bar, is_barred
 
 
 class FormatError(ValueError):
@@ -43,13 +43,13 @@ class CrystalElement:
         spec, l, x = self.spec, self.l, self.x
         if l < 1:
             raise ValueError(f"capacity must be positive, got {l}")
-        slots = spec.coord_letters
-        if len(x) != len(slots):
-            raise ValueError(f"expected {len(slots)} coordinates, got {len(x)}")
-        if any(v < 0 for v in x):
+        fam, n = spec.family, spec.rank
+        slots = len(_coord_letters(fam, n))
+        if len(x) != slots:
+            raise ValueError(f"expected {slots} coordinates, got {len(x)}")
+        if min(x) < 0:
             raise ValueError(f"negative coordinate in {x}")
         total = sum(x)
-        fam, n = spec.family, spec.rank
         if fam in ("A1", "A2odd", "D1") and total != l:
             raise ValueError(f"coordinates {x} must sum to {l}")
         if fam == "B1":
@@ -128,6 +128,11 @@ def _slot_index(spec: AlgebraSpec) -> dict[str, int]:
     return {a: i for i, a in enumerate(spec.coord_letters)}
 
 
+@lru_cache(maxsize=None)
+def _legal_letters(spec: AlgebraSpec) -> frozenset[str]:
+    return frozenset(spec.word_letters)
+
+
 def _check_rank_printable(spec: AlgebraSpec):
     limit = 8 if spec.family == "A1" else 9
     if spec.rank > limit:
@@ -142,7 +147,7 @@ def from_counts(spec: AlgebraSpec, counts: dict[str, int], l: int | None = None)
     Derived letters ('0' for A2even/C1, 'e' for D2) contribute to the inferred
     capacity but are not stored.
     """
-    legal = set(spec.word_letters)
+    legal = _legal_letters(spec)
     for a in counts:
         if a not in legal:
             raise FormatError(f"letter {a!r} not legal for {spec.family} rank {spec.rank}")
@@ -166,7 +171,7 @@ def parse_element(spec: AlgebraSpec, text: str, l: int | None = None) -> Crystal
     """Parse the text form of a single element (whitespace ignored)."""
     _check_rank_printable(spec)
     counts: dict[str, int] = {}
-    legal = set(spec.word_letters)
+    legal = _legal_letters(spec)
     i, m = 0, len(text)
     seen = False
     while i < m:
@@ -218,77 +223,112 @@ def parse_tensor(spec: AlgebraSpec, text: str, shape: tuple[int, ...] | None = N
 # operators
 
 
-def _eps_phi(bk, i: int, b: Element) -> tuple[int, int]:
+def _signature(bk, i: int, factors) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The unmatched signs of a tensor for color i, in one left-to-right pass.
+
+    Factor j writes eps_i minus signs then phi_i plus signs; a plus cancels
+    against the nearest unmatched minus to its right.  Returns the unmatched
+    minus signs and the unmatched plus signs as (factor position, count)
+    runs, both in left-to-right order: e_i acts on the factor holding the
+    rightmost unmatched minus, f_i on the factor holding the leftmost
+    unmatched plus.  On head (x) tail this is the rule that e_i acts on the
+    head iff phi_i(head) >= eps_i(tail), and f_i iff phi_i(head) > eps_i(tail).
+    """
+    minus: list[tuple[int, int]] = []
+    plus: list[list[int]] = []
+    for j, b in enumerate(factors):
+        m = bk.eps(i, b)
+        while m and plus:
+            top = plus[-1]
+            if top[1] > m:
+                top[1] -= m
+                m = 0
+            else:
+                m -= top[1]
+                plus.pop()
+        if m:
+            minus.append((j, m))
+        p = bk.phi(i, b)
+        if p:
+            plus.append([j, p])
+    return minus, plus
+
+
+def _size(runs) -> int:
+    return sum(c for _, c in runs)
+
+
+def _power(bk, i: int, b: Element, n: int, sig=None):
+    """f_i^n for n > 0, e_i^-n for n < 0; None plays the role of 0.
+
+    On a tensor the |n| leftmost unmatched plus signs (f) or rightmost
+    unmatched minus signs (e) of one signature pass say how often each
+    factor is hit.  sig is that pass when the caller already made it.
+    """
     if isinstance(b, CrystalElement):
-        return bk.eps(i, b), bk.phi(i, b)
-    e_acc, p_acc = bk.eps(i, b.factors[0]), bk.phi(i, b.factors[0])
-    for f in b.factors[1:]:
-        ef, pf = bk.eps(i, f), bk.phi(i, f)
-        e_acc = e_acc + max(ef - p_acc, 0)
-        p_acc = pf + max(p_acc - ef, 0)
-    return e_acc, p_acc
+        op = bk.f if n > 0 else bk.e
+        for _ in range(abs(n)):
+            b = op(i, b)
+        return b
+    if n == 0:
+        return b
+    minus, plus = sig or _signature(bk, i, b.factors)
+    runs, op, left = (plus, bk.f, n) if n > 0 else (reversed(minus), bk.e, -n)
+    out = list(b.factors)
+    for j, c in runs:
+        c = min(c, left)
+        for _ in range(c):
+            out[j] = op(i, out[j])
+            if out[j] is None:
+                return None
+        left -= c
+        if not left:
+            return Tensor(tuple(out))
+    return None
 
 
 def eps(bk, i: int, b: Element) -> int:
-    return _eps_phi(bk, i, b)[0]
+    if isinstance(b, CrystalElement):
+        return bk.eps(i, b)
+    return _size(_signature(bk, i, b.factors)[0])
 
 
 def phi(bk, i: int, b: Element) -> int:
-    return _eps_phi(bk, i, b)[1]
+    if isinstance(b, CrystalElement):
+        return bk.phi(i, b)
+    return _size(_signature(bk, i, b.factors)[1])
 
 
 def apply_e(bk, i: int, b: Element):
     """Raising operator; None plays the role of 0."""
-    if isinstance(b, CrystalElement):
-        return bk.e(i, b)
-    if len(b.factors) == 1:
-        r = bk.e(i, b.factors[0])
-        return None if r is None else Tensor((r,))
-    head, tail = b.factors[0], Tensor(b.factors[1:])
-    if bk.phi(i, head) >= eps(bk, i, tail):
-        r = bk.e(i, head)
-        return None if r is None else Tensor((r,) + tail.factors)
-    r = apply_e(bk, i, tail)
-    return None if r is None else Tensor((head,) + r.factors)
+    return _power(bk, i, b, -1)
 
 
 def apply_f(bk, i: int, b: Element):
     """Lowering operator; None plays the role of 0."""
-    if isinstance(b, CrystalElement):
-        return bk.f(i, b)
-    if len(b.factors) == 1:
-        r = bk.f(i, b.factors[0])
-        return None if r is None else Tensor((r,))
-    head, tail = b.factors[0], Tensor(b.factors[1:])
-    if bk.phi(i, head) > eps(bk, i, tail):
-        r = bk.f(i, head)
-        return None if r is None else Tensor((r,) + tail.factors)
-    r = apply_f(bk, i, tail)
-    return None if r is None else Tensor((head,) + r.factors)
+    return _power(bk, i, b, 1)
 
 
 def e_max(bk, i: int, b: Element) -> Element:
-    for _ in range(eps(bk, i, b)):
-        b = apply_e(bk, i, b)
-    return b
+    if isinstance(b, CrystalElement):
+        return _power(bk, i, b, -bk.eps(i, b))
+    sig = _signature(bk, i, b.factors)
+    return _power(bk, i, b, -_size(sig[0]), sig)
 
 
 def f_max(bk, i: int, b: Element) -> Element:
-    for _ in range(phi(bk, i, b)):
-        b = apply_f(bk, i, b)
-    return b
+    if isinstance(b, CrystalElement):
+        return _power(bk, i, b, bk.phi(i, b))
+    sig = _signature(bk, i, b.factors)
+    return _power(bk, i, b, _size(sig[1]), sig)
 
 
 def weyl_s(bk, i: int, b: Element) -> Element:
     """Weyl group operator: the f- or e-power equalizing phi and eps."""
-    e, p = _eps_phi(bk, i, b)
-    if p >= e:
-        for _ in range(p - e):
-            b = apply_f(bk, i, b)
-    else:
-        for _ in range(e - p):
-            b = apply_e(bk, i, b)
-    return b
+    if isinstance(b, CrystalElement):
+        return _power(bk, i, b, bk.phi(i, b) - bk.eps(i, b))
+    sig = _signature(bk, i, b.factors)
+    return _power(bk, i, b, _size(sig[1]) - _size(sig[0]), sig)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +377,10 @@ def sigma_via_weyl(bk, b: Element, k: int = 0) -> Element:
 # extreme elements and the t-map
 
 
+@lru_cache(maxsize=4096)
 def delta(spec: AlgebraSpec, l: int, a: str) -> CrystalElement:
-    """The element with all l units on letter a."""
+    """The element with all l units on letter a (elements are immutable, so
+    one instance per argument triple is shared)."""
     if a not in spec.a_letters:
         raise ValueError(f"letter {a!r} cannot carry full weight in {spec.family}")
     return from_counts(spec, {a: l}, l)

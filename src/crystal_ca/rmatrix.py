@@ -65,26 +65,11 @@ _TABLES: dict[tuple, dict] = {}
 _LOCK = threading.Lock()
 
 
-def _pair_apply(bk, i: int, a: CrystalElement, b: CrystalElement, lower: bool):
-    """Kashiwara operator on a two-factor tensor, kept on raw factors."""
-    if lower:
-        if bk.phi(i, a) > bk.eps(i, b):
-            a2 = bk.f(i, a)
-            return None if a2 is None else (a2, b)
-        b2 = bk.f(i, b)
-        return None if b2 is None else (a, b2)
-    if bk.phi(i, a) >= bk.eps(i, b):
-        a2 = bk.e(i, a)
-        return None if a2 is None else (a2, b)
-    b2 = bk.e(i, b)
-    return None if b2 is None else (a, b2)
-
-
-def _cache_path(family: str, rank: int, l: int, m: int) -> str | None:
+def _cache_path(family: str, rank: int, backend: str, l: int, m: int) -> str | None:
     root = os.environ.get("CRYSTAL_CA_CACHE_DIR")
     if not root:
         return None
-    return os.path.join(root, f"rtable_{family}_{rank}_{l}_{m}.json")
+    return os.path.join(root, f"rtable_{family}_{rank}_{backend}_{l}_{m}.json")
 
 
 def _payload_digest(payload: dict) -> str:
@@ -92,15 +77,16 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _load_cached(path: str, family: str, rank: int, l: int, m: int):
+def _load_cached(path: str, family: str, rank: int, backend: str, l: int, m: int):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         payload = doc["payload"]
         if doc.get("sha256") != _payload_digest(payload):
             return None
-        if (payload.get("family"), payload.get("rank"), payload.get("l"),
-                payload.get("m"), payload.get("schema")) != (family, rank, l, m, 1):
+        if (payload.get("family"), payload.get("rank"), payload.get("backend"),
+                payload.get("l"), payload.get("m"), payload.get("schema")) != (
+                family, rank, backend, l, m, 1):
             return None
         return {
             (tuple(xl), tuple(xm)): (tuple(ym), tuple(yl))
@@ -110,12 +96,14 @@ def _load_cached(path: str, family: str, rank: int, l: int, m: int):
         return None
 
 
-def _store_cached(path: str, family: str, rank: int, l: int, m: int, table: dict):
+def _store_cached(path: str, family: str, rank: int, backend: str, l: int, m: int,
+                  table: dict):
     payload = {
         "schema": 1,
         "kind": "rtable",
         "family": family,
         "rank": rank,
+        "backend": backend,
         "l": l,
         "m": m,
         "entries": [
@@ -135,9 +123,12 @@ def _store_cached(path: str, family: str, rank: int, l: int, m: int, table: dict
 
 
 def get_table(bk, l: int, m: int) -> dict:
-    """The swap table B_l (x) B_m -> B_m (x) B_l keyed on coordinate pairs."""
+    """The swap table B_l (x) B_m -> B_m (x) B_l keyed on coordinate pairs.
+
+    Memoized per structure source (bk.identity), in memory and on disk.
+    """
     spec = bk.spec
-    key = (spec.family, spec.rank, l, m)
+    key = (spec.family, spec.rank, bk.identity, l, m)
     with _LOCK:
         if key in _TABLES:
             return _TABLES[key]
@@ -154,10 +145,34 @@ def get_table(bk, l: int, m: int) -> dict:
         return table
 
 
+def _query_rows(bk, spec: AlgebraSpec, l: int) -> dict:
+    """(eps_i, phi_i, e_i, f_i) of every element of B_l for every color i,
+    keyed on coordinates, with the images as coordinates (None for 0)."""
+    rows = {}
+    for el in enumerate_crystal(spec, l):
+        row = []
+        for i in spec.index_set:
+            up, down = bk.e(i, el), bk.f(i, el)
+            row.append((bk.eps(i, el), bk.phi(i, el),
+                        None if up is None else up.x, None if down is None else down.x))
+        rows[el.x] = row
+    return rows
+
+
+def _pair_word(spec: AlgebraSpec, l: int, m: int, pair) -> str:
+    return f"{CrystalElement(spec, l, pair[0]).word()}.{CrystalElement(spec, m, pair[1]).word()}"
+
+
 def _build_table(bk, l: int, m: int) -> dict:
+    """Propagate the swap from the extreme pairs by every e_i and f_i.
+
+    On a pair, e_i acts on the left factor iff phi_i(left) >= eps_i(right),
+    f_i iff phi_i(left) > eps_i(right) (the signature rule for two factors);
+    the single-element queries come from rows tabulated once per element.
+    """
     spec = bk.spec
-    by_l = {el.x: el for el in enumerate_crystal(spec, l)}
-    by_m = {el.x: el for el in enumerate_crystal(spec, m)}
+    rows_l = _query_rows(bk, spec, l)
+    rows_m = rows_l if m == l else _query_rows(bk, spec, m)
     table: dict = {}
     queue: deque = deque()
     for a in spec.a_letters:
@@ -167,31 +182,34 @@ def _build_table(bk, l: int, m: int) -> dict:
     while queue:
         src = queue.popleft()
         dst = table[src]
-        sa, sb = by_l[src[0]], by_m[src[1]]
-        da, db = by_m[dst[0]], by_l[dst[1]]
+        row_sa, row_sb = rows_l[src[0]], rows_m[src[1]]
+        row_da, row_db = rows_m[dst[0]], rows_l[dst[1]]
         for i in spec.index_set:
-            for lower in (False, True):
-                s2 = _pair_apply(bk, i, sa, sb, lower)
-                d2 = _pair_apply(bk, i, da, db, lower)
-                if (s2 is None) != (d2 is None):
-                    op = "f" if lower else "e"
+            sa, sb, da, db = row_sa[i], row_sb[i], row_da[i], row_db[i]
+            # rows hold (eps, phi, e image, f image); bias 1 makes f's test strict
+            for op, slot, bias in (("e", 2, 0), ("f", 3, 1)):
+                s_left = sa[1] >= sb[0] + bias
+                d_left = da[1] >= db[0] + bias
+                s_img = sa[slot] if s_left else sb[slot]
+                d_img = da[slot] if d_left else db[slot]
+                if (s_img is None) != (d_img is None):
                     raise RMatrixError(
                         f"{op}_{i} kills exactly one side of "
-                        f"{sa.word()}.{sb.word()} -> {da.word()}.{db.word()}"
+                        f"{_pair_word(spec, l, m, src)} -> {_pair_word(spec, m, l, dst)}"
                     )
-                if s2 is None:
+                if s_img is None:
                     continue
-                skey = (s2[0].x, s2[1].x)
-                dval = (d2[0].x, d2[1].x)
+                skey = (s_img, src[1]) if s_left else (src[0], s_img)
+                dval = (d_img, dst[1]) if d_left else (dst[0], d_img)
                 if skey in table:
                     if table[skey] != dval:
                         raise RMatrixError(
-                            f"conflicting images for {s2[0].word()}.{s2[1].word()}"
+                            f"conflicting images for {_pair_word(spec, l, m, skey)}"
                         )
                     continue
                 table[skey] = dval
                 queue.append(skey)
-    want = len(by_l) * len(by_m)
+    want = len(rows_l) * len(rows_m)
     if len(table) != want:
         raise UnreachedElement(
             f"R table for B_{l} (x) B_{m} reaches {len(table)} of {want} pairs; "

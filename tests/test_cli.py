@@ -1,10 +1,15 @@
 """Command line surface: output shapes, exit codes, JSON reports."""
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from crystal_ca.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ROWS = [
     "1112211211111111",
@@ -176,17 +181,33 @@ def test_graph_export_without_backend(capsys):
     assert code == 3
 
 
+def console_script(*argv):
+    """Run the `crystal-ca` entry point that pyproject.toml declares, the way
+    an installed console script calls it, in a fresh interpreter."""
+    import tomllib  # Python 3.11+; only these tests read pyproject.toml
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["crystal-ca"]
+    module, func = target.split(":")
+    code = f"import sys; from {module} import {func}; sys.argv[0] = 'crystal-ca'; sys.exit({func}())"
+    return run_python("-c", code, *argv)
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=ROOT)
+
+
 def test_console_script_help():
-    proc = subprocess.run(["crystal-ca", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "simulate" in proc.stdout and "verify" in proc.stdout
+    for proc in (console_script("--help"), run_python("-m", "crystal_ca", "--help")):
+        assert proc.returncode == 0
+        assert "simulate" in proc.stdout and "verify" in proc.stdout
 
 
 def test_console_script_end_to_end():
-    proc = subprocess.run(
-        ["crystal-ca", "rmatrix", "--algebra", "A1", "--rank", "3",
-         "--lhs", "111223", "--rhs", "344"],
-        capture_output=True, text=True,
-    )
+    proc = console_script("rmatrix", "--algebra", "A1", "--rank", "3",
+                          "--lhs", "111223", "--rhs", "344")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "223.111344"

@@ -13,6 +13,7 @@ from crystal_ca import (
     enumerate_crystal,
     eps,
     f_max,
+    make_backend,
     parse_element,
     parse_tensor,
     phi,
@@ -117,6 +118,65 @@ def test_weyl_commutes_with_transposition(a1_2, b1, b2, i):
     lhs = weyl_s(bk, i, Tensor((b2, b1)))
     rhs = weyl_s(bk, i, Tensor((b1, b2)))
     assert lhs.factors == (rhs.factors[1], rhs.factors[0])
+
+
+# Recursive reference for the tensor operators: head (x) tail, where e_i acts
+# on the head iff phi_i(head) >= eps_i(tail) and f_i iff phi_i(head) > eps_i(tail).
+
+
+def ref_eps_phi(bk, i, factors):
+    e_acc, p_acc = bk.eps(i, factors[0]), bk.phi(i, factors[0])
+    for f in factors[1:]:
+        ef, pf = bk.eps(i, f), bk.phi(i, f)
+        e_acc, p_acc = e_acc + max(ef - p_acc, 0), pf + max(p_acc - ef, 0)
+    return e_acc, p_acc
+
+
+def ref_apply(bk, i, factors, lower):
+    if factors is None:
+        return None
+    op = bk.f if lower else bk.e
+    head, tail = factors[0], factors[1:]
+    if tail:
+        p_head, e_tail = bk.phi(i, head), ref_eps_phi(bk, i, tail)[0]
+        if not (p_head > e_tail or (p_head == e_tail and not lower)):
+            rest = ref_apply(bk, i, tail, lower)
+            return None if rest is None else (head,) + rest
+    r = op(i, head)
+    return None if r is None else (r,) + tail
+
+
+def ref_power(bk, i, factors, n):
+    for _ in range(abs(n)):
+        factors = ref_apply(bk, i, factors, n > 0)
+    return factors
+
+
+REF_BACKENDS = {r: make_backend(AlgebraSpec("A1", r)) for r in (1, 2, 3)}
+REF_POOLS = {(r, l): enumerate_crystal(AlgebraSpec("A1", r), l)
+             for r in (1, 2, 3) for l in (1, 2, 3)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_matches_recursive_rule(data):
+    rank = data.draw(st.integers(1, 3))
+    bk = REF_BACKENDS[rank]
+    shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    factors = tuple(data.draw(st.sampled_from(REF_POOLS[rank, l])) for l in shape)
+    t = Tensor(factors)
+
+    def tensor(fs):
+        return None if fs is None else Tensor(fs)
+
+    for i in bk.spec.index_set:
+        e, p = ref_eps_phi(bk, i, factors)
+        assert (eps(bk, i, t), phi(bk, i, t)) == (e, p)
+        assert apply_e(bk, i, t) == tensor(ref_apply(bk, i, factors, False))
+        assert apply_f(bk, i, t) == tensor(ref_apply(bk, i, factors, True))
+        assert e_max(bk, i, t) == tensor(ref_power(bk, i, factors, -e))
+        assert f_max(bk, i, t) == tensor(ref_power(bk, i, factors, p))
+        assert weyl_s(bk, i, t) == tensor(ref_power(bk, i, factors, p - e))
 
 
 def test_e_max_f_max(a1_3):

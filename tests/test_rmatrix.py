@@ -11,9 +11,11 @@ from crystal_ca import (
     GraphProvider,
     InapplicableError,
     Providers,
+    RMatrixError,
     Tensor,
     UnreachedElement,
     apply_e,
+    apply_f,
     apply_r_at,
     clear_tables,
     delta,
@@ -21,6 +23,8 @@ from crystal_ca import (
     enumerate_crystal,
     get_table,
     in_domain,
+    load_graph,
+    make_backend,
     parse_element,
     parse_tensor,
     r_composite,
@@ -59,18 +63,25 @@ def test_equal_levels_identity(a1_2):
             assert r_elementary(a1_2, u, v) == (u, v)
 
 
-def test_equivariance_exhaustive(a1_2):
-    for u in enumerate_crystal(A1_2, 1):
-        for v in enumerate_crystal(A1_2, 2):
-            t = Tensor((u, v))
-            rt = apply_r_at(a1_2, t, 0)
-            for i in A1_2.index_set:
-                lhs = apply_e(a1_2, i, t)
-                rhs = apply_e(a1_2, i, rt)
-                if lhs is None:
-                    assert rhs is None
-                else:
-                    assert apply_r_at(a1_2, lhs, 0) == rhs
+def test_equivariance_exhaustive():
+    # the swap table commutes with the tensor-operator layer's e_i and f_i,
+    # for level pairs with l < m, l > m and l == m
+    for rank in (1, 2, 3):
+        spec = AlgebraSpec("A1", rank)
+        bk = make_backend(spec)
+        for l, m in ((1, 2), (3, 1), (2, 2)):
+            for u in enumerate_crystal(spec, l):
+                for v in enumerate_crystal(spec, m):
+                    t = Tensor((u, v))
+                    rt = apply_r_at(bk, t, 0)
+                    for op in (apply_e, apply_f):
+                        for i in spec.index_set:
+                            lhs = op(bk, i, t)
+                            rhs = op(bk, i, rt)
+                            if lhs is None:
+                                assert rhs is None
+                            else:
+                                assert apply_r_at(bk, lhs, 0) == rhs
 
 
 def test_commutes_with_automorphism(a1_2):
@@ -210,7 +221,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, a1_1):
     monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path))
     clear_tables()
     table = dict(get_table(a1_1, 1, 2))
-    path = tmp_path / "rtable_A1_1_1_2.json"
+    path = tmp_path / "rtable_A1_1_builtin_1_2.json"
     assert path.exists()
     doc = json.loads(path.read_text())
     assert doc["payload"]["schema"] == 1
@@ -230,3 +241,23 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, a1_1):
     clear_tables()
     assert dict(get_table(a1_1, 1, 2)) == table
     clear_tables()
+
+
+@pytest.mark.parametrize("l, m", [(2, 1), (1, 2), (2, 3), (3, 2)])
+def test_table_cache_keyed_per_backend(tmp_path, monkeypatch, a1_1, l, m):
+    # a rewired but structurally valid B_2: f_1 jumps 11 -> 22 directly
+    path = tmp_path / "rewired.graph"
+    path.write_text("A1 1 2\n11 1 22\n22 0 12\n12 0 11\n")
+    rewired = Providers(AlgebraSpec("A1", 1), {2: load_graph(str(path), admit=False)})
+    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path / "cache"))
+    clear_tables()
+    try:
+        builtin = get_table(a1_1, l, m)
+        with pytest.raises(RMatrixError):
+            get_table(rewired, l, m)
+        clear_tables()  # the disk copy of the builtin table is not handed over either
+        with pytest.raises(RMatrixError):
+            get_table(rewired, l, m)
+        assert get_table(a1_1, l, m) == builtin
+    finally:
+        clear_tables()
