@@ -170,17 +170,17 @@ def parse_state(spec: AlgebraSpec, k: int, text: str,
 def vertex_step(bk, i: int, s: int, b: CrystalElement) -> tuple[CrystalElement, int]:
     """Raising cell: new site and outgoing carrier value."""
     e, p = bk.eps(i, b), bk.phi(i, b)
-    for _ in range(max(e - s, 0)):
-        b = bk.e(i, b)
-    return b, p + max(s - e, 0)
+    if e > s:
+        return bk.power(i, b, s - e), p
+    return b, p + s - e
 
 
 def dual_vertex_step(bk, i: int, s: int, b: CrystalElement) -> tuple[CrystalElement, int]:
     """Lowering cell, swept right to left."""
     e, p = bk.eps(i, b), bk.phi(i, b)
-    for _ in range(max(p - s, 0)):
-        b = bk.f(i, b)
-    return b, e + max(s - p, 0)
+    if p > s:
+        return bk.power(i, b, p - s), e
+    return b, e + s - p
 
 
 def _sweep_raise(state_like, bk, window, start, color, bg_letter):

@@ -1,4 +1,4 @@
-"""Structure backends: where eps/phi/e/f on single elements come from.
+"""Structure backends: where eps/phi/e/f and power on single elements come from.
 
 The package computes the type A1 family directly from coordinates.  Every
 other family is accepted through a crystal-graph file (one f-arrow per line).
@@ -55,28 +55,47 @@ class BuiltinA1:
         return el.x[(i - 1) % self._m]
 
     def e(self, i: int, el: CrystalElement):
-        if el.x[i] == 0:
-            return None
-        x = list(el.x)
-        x[i] -= 1
-        x[(i - 1) % self._m] += 1
-        return CrystalElement(el.spec, el.l, tuple(x))
+        return self.power(i, el, -1)
 
     def f(self, i: int, el: CrystalElement):
-        j = (i - 1) % self._m
-        if el.x[j] == 0:
+        return self.power(i, el, 1)
+
+    def power(self, i: int, el: CrystalElement, n: int):
+        """f_i^n for n > 0, e_i^-n for n < 0: one move of |n| units between
+        slots i-1 and i, or None when the source slot holds fewer."""
+        if n > 0:
+            src, dst = (i - 1) % self._m, i
+        elif n < 0:
+            src, dst, n = i, (i - 1) % self._m, -n
+        else:
+            return el
+        if el.x[src] < n:
             return None
         x = list(el.x)
-        x[j] -= 1
-        x[i] += 1
-        return CrystalElement(el.spec, el.l, tuple(x))
+        x[src] -= n
+        x[dst] += n
+        return CrystalElement._trusted(el.spec, el.l, tuple(x))
 
 
 class GraphProvider:
-    """eps/phi/e/f looked up from an explicit arrow list for one B_l."""
+    """eps/phi/e/f looked up from an explicit arrow list for one B_l.
+
+    Every arrow endpoint is validated once, here, so the elements that
+    queries return are built without checks.
+    """
 
     def __init__(self, family: str, rank: int, l: int,
                  f_edges: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]):
+        spec = AlgebraSpec(family, rank)
+        for (color, src), dst in f_edges.items():
+            for x in (src, dst):
+                try:
+                    CrystalElement(spec, l, x)
+                except (ValueError, TypeError) as err:
+                    raise GraphError(
+                        f"arrow {(color, src)} -> {dst}: {x} is not an element of "
+                        f"{family} rank {rank} B_{l}: {err}"
+                    ) from None
         self.family = family
         self.rank = rank
         self.l = l
@@ -103,12 +122,25 @@ class GraphProvider:
         return self._walk(self._f, self._phi_cache, i, el.x)
 
     def e(self, i: int, el: CrystalElement):
-        dst = self._e.get((i, el.x))
-        return None if dst is None else CrystalElement(el.spec, el.l, dst)
+        return self.power(i, el, -1)
 
     def f(self, i: int, el: CrystalElement):
-        dst = self._f.get((i, el.x))
-        return None if dst is None else CrystalElement(el.spec, el.l, dst)
+        return self.power(i, el, 1)
+
+    def power(self, i: int, el: CrystalElement, n: int):
+        """f_i^n for n > 0, e_i^-n for n < 0: |n| arrows walked, one element
+        built at the end, or None when the walk runs out of arrows."""
+        if el.l != self.l:
+            raise ValueError(f"graph for B_{self.l} asked about a B_{el.l} element")
+        if n == 0:
+            return el
+        table = self._f if n > 0 else self._e
+        x = el.x
+        for _ in range(abs(n)):
+            x = table.get((i, x))
+            if x is None:
+                return None
+        return CrystalElement._trusted(el.spec, el.l, x)
 
 
 @dataclass
@@ -155,6 +187,9 @@ class Providers:
 
     def f(self, i: int, el: CrystalElement):
         return self.provider_for(el.l).f(i, el)
+
+    def power(self, i: int, el: CrystalElement, n: int):
+        return self.provider_for(el.l).power(i, el, n)
 
 
 # ---------------------------------------------------------------------------

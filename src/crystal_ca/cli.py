@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure or declined computation,
 2 malformed input, 3 missing structure backend, 4 size cap exceeded,
-5 evolution-mode disagreement.
+5 evolution-mode disagreement, 6 internal error (a broken invariant of the
+package itself, reported in one line).
 """
 from __future__ import annotations
 
@@ -492,6 +493,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except AssertionError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

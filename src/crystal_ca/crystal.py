@@ -3,9 +3,14 @@
 Elements of B_l are nonnegative integer coordinate vectors (one slot per
 stored letter of the family); tensor elements are ordered factor lists.
 All Kashiwara-operator queries on single elements are delegated to a backend
-object with methods eps/phi/e/f; everything else here (tensor routing, Weyl
-operators, the diagram automorphism, extreme elements delta, the t-map) is
-derived from those four queries.
+object with methods eps/phi/e/f and power (f_i^n for n > 0, e_i^-n for
+n < 0); everything else here (tensor routing, Weyl operators, the diagram
+automorphism, extreme elements delta, the t-map) is derived from those
+queries.
+
+Elements are validated where they enter from outside (the parsers,
+from_counts, enumeration); elements the package derives from valid ones are
+built with CrystalElement._trusted and not checked again.
 """
 from __future__ import annotations
 
@@ -69,6 +74,21 @@ class CrystalElement:
                 raise ValueError(f"slot x_0 must be 0 or 1, got {x[n]}")
             if total > l:
                 raise ValueError(f"coordinate sum {total} exceeds capacity {l}")
+
+    @classmethod
+    def _trusted(cls, spec: AlgebraSpec, l: int, x: tuple[int, ...]) -> CrystalElement:
+        """An element built without the checks of __post_init__.
+
+        Only for coordinates derived from a valid element by a rule that keeps
+        every invariant those checks enforce: backend images, slot
+        permutations, and R-table entries that were checked on load.
+        """
+        el = object.__new__(cls)
+        fields = el.__dict__
+        fields["spec"] = spec
+        fields["l"] = l
+        fields["x"] = x
+        return el
 
     def get(self, a: str) -> int:
         """Multiplicity of a letter, including the derived ones."""
@@ -263,24 +283,21 @@ def _power(bk, i: int, b: Element, n: int, sig=None):
 
     On a tensor the |n| leftmost unmatched plus signs (f) or rightmost
     unmatched minus signs (e) of one signature pass say how often each
-    factor is hit.  sig is that pass when the caller already made it.
+    factor is hit, and each hit factor takes one backend power query.  sig
+    is that pass when the caller already made it.
     """
-    if isinstance(b, CrystalElement):
-        op = bk.f if n > 0 else bk.e
-        for _ in range(abs(n)):
-            b = op(i, b)
-        return b
     if n == 0:
         return b
+    if isinstance(b, CrystalElement):
+        return bk.power(i, b, n)
     minus, plus = sig or _signature(bk, i, b.factors)
-    runs, op, left = (plus, bk.f, n) if n > 0 else (reversed(minus), bk.e, -n)
+    runs, sign, left = (plus, 1, n) if n > 0 else (reversed(minus), -1, -n)
     out = list(b.factors)
     for j, c in runs:
         c = min(c, left)
-        for _ in range(c):
-            out[j] = op(i, out[j])
-            if out[j] is None:
-                return None
+        out[j] = bk.power(i, out[j], sign * c)
+        if out[j] is None:
+            return None
         left -= c
         if not left:
             return Tensor(tuple(out))
@@ -336,7 +353,10 @@ def weyl_s(bk, i: int, b: Element) -> Element:
 
 
 def sigma_letterwise(b: Element) -> Element:
-    """The automorphism in its explicit letter form (no backend needed)."""
+    """The automorphism in its explicit letter form (no backend needed).
+
+    It only permutes slots, so the image of a valid element is valid.
+    """
     if isinstance(b, Tensor):
         return Tensor(tuple(sigma_letterwise(f) for f in b.factors))
     spec, x = b.spec, list(b.x)
@@ -348,7 +368,7 @@ def sigma_letterwise(b: Element) -> Element:
         n = spec.rank
         x[0], x[-1] = x[-1], x[0]
         x[n - 1], x[n] = x[n], x[n - 1]
-    return CrystalElement(spec, b.l, tuple(x))
+    return CrystalElement._trusted(spec, b.l, tuple(x))
 
 
 def sigma_letterwise_pow(b: Element, power: int) -> Element:

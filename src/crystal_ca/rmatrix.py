@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import random
 import threading
@@ -58,6 +59,8 @@ class InapplicableError(RuntimeError):
         self.trace = trace
 
 
+log = logging.getLogger(__name__)
+
 # ---------------------------------------------------------------------------
 # oracle tables
 
@@ -78,22 +81,48 @@ def _payload_digest(payload: dict) -> str:
 
 
 def _load_cached(path: str, family: str, rank: int, backend: str, l: int, m: int):
+    """The table stored at path, or None when there is none or it is rejected.
+
+    A file is accepted only when its digest matches, its header names this
+    table, and its keys and values are exactly the coordinate pairs of
+    B_l (x) B_m and B_m (x) B_l; r_elementary trusts the coordinates it reads.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as err:
+        log.warning("R-table cache %s rejected: corrupt (%s)", path, err)
+        return None
+    try:
         payload = doc["payload"]
         if doc.get("sha256") != _payload_digest(payload):
+            log.warning("R-table cache %s rejected: digest mismatch", path)
             return None
         if (payload.get("family"), payload.get("rank"), payload.get("backend"),
                 payload.get("l"), payload.get("m"), payload.get("schema")) != (
                 family, rank, backend, l, m, 1):
+            log.warning("R-table cache %s rejected: stale header", path)
             return None
-        return {
+        entries = payload["entries"]
+        table = {
             (tuple(xl), tuple(xm)): (tuple(ym), tuple(yl))
-            for xl, xm, ym, yl in payload["entries"]
+            for xl, xm, ym, yl in entries
         }
-    except (OSError, ValueError, KeyError, TypeError):
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        log.warning("R-table cache %s rejected: corrupt (%s)", path, err)
         return None
+    spec = AlgebraSpec(family, rank)
+    xs_l = [el.x for el in enumerate_crystal(spec, l)]
+    xs_m = xs_l if m == l else [el.x for el in enumerate_crystal(spec, m)]
+    if (any(type(v) is not int for row in entries for part in row for v in part)
+            or table.keys() != {(a, b) for a in xs_l for b in xs_m}
+            or set(table.values()) != {(b, a) for b in xs_m for a in xs_l}):
+        log.warning("R-table cache %s rejected: entries are not the coordinate pairs "
+                    "of B_%d (x) B_%d", path, l, m)
+        return None
+    return table
 
 
 def _store_cached(path: str, family: str, rank: int, backend: str, l: int, m: int,
@@ -118,8 +147,8 @@ def _store_cached(path: str, family: str, rank: int, backend: str, l: int, m: in
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
         os.replace(tmp, path)
-    except OSError:
-        pass
+    except OSError as err:
+        log.warning("R-table cache %s not written: %s", path, err)
 
 
 def get_table(bk, l: int, m: int) -> dict:
@@ -231,7 +260,7 @@ def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalEleme
     except KeyError:
         raise UnreachedElement(f"pair {a.word()}.{b.word()} missing from R table") from None
     spec = bk.spec
-    return CrystalElement(spec, b.l, ym), CrystalElement(spec, a.l, yl)
+    return CrystalElement._trusted(spec, b.l, ym), CrystalElement._trusted(spec, a.l, yl)
 
 
 def apply_r_at(bk, t: Tensor, pos: int) -> Tensor:

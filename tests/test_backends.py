@@ -1,11 +1,15 @@
 """Coordinate backend, graph files: parsing, structural checks, admission."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystal_ca import (
     AlgebraSpec,
     BackendMissing,
     BuiltinA1,
+    CrystalElement,
     GraphError,
+    GraphProvider,
     admission_errors,
     delta,
     enumerate_crystal,
@@ -47,6 +51,55 @@ def test_builtin_matches_definitions():
             assert (down is None) == (bk.phi(i, el) == 0)
             if up is not None:
                 assert bk.f(i, up) == el
+
+
+@pytest.fixture(scope="module")
+def exported_graphs(tmp_path_factory):
+    """GraphProviders loaded from the exported coordinate rules, by (rank, l)."""
+    root = tmp_path_factory.mktemp("graphs")
+    out = {}
+    for rank in (1, 2, 3):
+        bk = make_backend(AlgebraSpec("A1", rank))
+        for l in (1, 2, 3):
+            out[rank, l] = load_graph(write_graph(root, export_graph_text(bk, l),
+                                                  f"a1_{rank}_{l}.graph"))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_power_matches_single_steps(exported_graphs, data):
+    rank, l = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    spec = AlgebraSpec("A1", rank)
+    el = data.draw(st.sampled_from(enumerate_crystal(spec, l)))
+    n = data.draw(st.integers(-l - 1, l + 1))
+    for bk in (BuiltinA1(rank), exported_graphs[rank, l], make_backend(spec)):
+        for i in spec.index_set:
+            want = el
+            for _ in range(abs(n)):
+                if want is not None:
+                    want = bk.f(i, want) if n > 0 else bk.e(i, want)
+            got = bk.power(i, el, n)
+            assert got == want
+            if got is not None:
+                assert CrystalElement(got.spec, got.l, got.x) == got
+
+
+@pytest.mark.parametrize("edges,fragment", [
+    ({(1, (2, 0)): (5, 5)}, r"\(5, 5\)"),
+    ({(1, (3, 0)): (1, 1)}, r"\(3, 0\)"),
+    ({(1, (2, 0)): (1, 1, 0)}, r"\(1, 1, 0\)"),
+    ({(1, (2, -1)): (1, 0)}, r"\(2, -1\)"),
+])
+def test_graph_provider_validates_arrows(edges, fragment):
+    with pytest.raises(GraphError, match=fragment):
+        GraphProvider("A1", 1, 2, edges)
+
+
+def test_graph_provider_rejects_other_levels(tmp_path):
+    provider = load_graph(write_graph(tmp_path, "A1 1 1\n1 1 2\n2 0 1\n"))
+    with pytest.raises(ValueError, match="B_1"):
+        provider.power(1, parse_element(A1_1, "11"), 1)
 
 
 def test_export_roundtrip(a1_2):

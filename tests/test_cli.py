@@ -106,6 +106,18 @@ def test_cap_exceeded_exit_4(tmp_path, capsys):
     assert "exceeds cap" in err
 
 
+def test_internal_error_exit_6(monkeypatch, capsys):
+    # a vertex cell that only ever emits makes the sweep's own invariant check fire
+    import crystal_ca.automaton as automaton
+
+    monkeypatch.setattr(automaton, "vertex_step", lambda bk, i, s, b: (b, s + 1))
+    code, out, err = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
+                         "--background-k", "1", "--state", "2.2", "--steps", "1",
+                         "--mode", "factorized")
+    assert code == 6
+    assert err == "internal error: background site failed to absorb the sweep\n"
+
+
 def test_verify_theorem_json_deterministic(tmp_path, capsys):
     paths = []
     for name in ("a.json", "b.json"):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystal_ca import (
+    FAMILIES,
     AlgebraSpec,
+    CrystalElement,
     Tensor,
     apply_e,
     apply_f,
@@ -24,6 +26,7 @@ from crystal_ca import (
     t_def,
     weyl_s,
 )
+from crystal_ca.algebra import _MIN_RANK
 
 SPEC2 = AlgebraSpec("A1", 2)
 SPEC3 = AlgebraSpec("A1", 3)
@@ -223,6 +226,15 @@ def test_sigma_pow(a1_2):
     assert sigma_letterwise_pow(el, order) == el
     assert sigma_letterwise_pow(el, -1) == sigma_letterwise_pow(el, order - 1)
     assert sigma_letterwise_pow(sigma_letterwise_pow(el, 1), -1) == el
+    # every family: images are valid elements of the same B_l, and sigma has its order
+    for fam in FAMILIES:
+        for rank in (_MIN_RANK[fam], _MIN_RANK[fam] + 1):
+            spec = AlgebraSpec(fam, rank)
+            for l in (1, 2, 3):
+                for el in enumerate_crystal(spec, l):
+                    out = sigma_letterwise(el)
+                    assert CrystalElement(out.spec, out.l, out.x) == out
+                    assert sigma_letterwise_pow(el, spec.sigma_order) == el
 
 
 def test_sigma_intertwines_operators(a1_2):

@@ -1,5 +1,6 @@
 """Swap tables, the factorized swap, side conditions, the verification suite."""
 import json
+import logging
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from crystal_ca import (
     AlgebraSpec,
+    CrystalElement,
     GraphProvider,
     InapplicableError,
     Providers,
@@ -36,6 +38,9 @@ from crystal_ca import (
     yang_baxter_check,
 )
 
+from crystal_ca.rmatrix import _payload_digest
+
+A1_1 = AlgebraSpec("A1", 1)
 A1_2 = AlgebraSpec("A1", 2)
 A1_3 = AlgebraSpec("A1", 3)
 
@@ -49,6 +54,8 @@ def test_table_bijection_and_inverse(a1_2):
             v2, u2 = r_elementary(a1_2, u, v)
             back = r_elementary(a1_2, v2, u2)
             assert back == (u, v)
+            for r in (v2, u2):
+                assert CrystalElement(r.spec, r.l, r.x) == r
 
 
 def test_anchors_swap(a1_2):
@@ -217,7 +224,8 @@ def test_unreached_pairs_detected():
         clear_tables()
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch, a1_1):
+def test_disk_cache_roundtrip(tmp_path, monkeypatch, caplog, a1_1):
+    caplog.set_level(logging.WARNING, logger="crystal_ca.rmatrix")
     monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path))
     clear_tables()
     table = dict(get_table(a1_1, 1, 2))
@@ -227,12 +235,16 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, a1_1):
     assert doc["payload"]["schema"] == 1
     clear_tables()
     assert dict(get_table(a1_1, 1, 2)) == table
+    assert caplog.messages == []
 
-    # a corrupted file is ignored and silently rebuilt
+    # a corrupted file is ignored, logged and rebuilt
     path.write_text(path.read_text()[:40])
     clear_tables()
     assert dict(get_table(a1_1, 1, 2)) == table
     assert json.loads(path.read_text())["payload"]["schema"] == 1
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].startswith(f"R-table cache {path} rejected: corrupt (")
+    caplog.clear()
 
     # a wrong digest is ignored too
     doc = json.loads(path.read_text())
@@ -240,7 +252,64 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, a1_1):
     path.write_text(json.dumps(doc))
     clear_tables()
     assert dict(get_table(a1_1, 1, 2)) == table
+    assert caplog.messages == [f"R-table cache {path} rejected: digest mismatch"]
+    caplog.clear()
+
+    # so is a digest-correct file written for another table
+    doc = json.loads(path.read_text())
+    doc["payload"]["m"] = 3
+    doc["sha256"] = _payload_digest(doc["payload"])
+    path.write_text(json.dumps(doc))
     clear_tables()
+    assert dict(get_table(a1_1, 1, 2)) == table
+    assert caplog.messages == [f"R-table cache {path} rejected: stale header"]
+    caplog.clear()
+
+    # a cache directory that cannot be created is logged, and the table still served
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(blocker))
+    clear_tables()
+    assert dict(get_table(a1_1, 1, 2)) == table
+    unwritten = blocker / "rtable_A1_1_builtin_1_2.json"
+    assert any(m.startswith(f"R-table cache {unwritten} not written: ")
+               for m in caplog.messages)
+    clear_tables()
+
+
+def _set_value(entries, pos, coords):
+    entries[0][pos] = coords
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda entries: _set_value(entries, 2, [5, 5]),    # an image outside B_2
+    lambda entries: _set_value(entries, 0, [2, 2]),    # a key outside B_1
+    lambda entries: _set_value(entries, 3, [1.0, 0]),  # a non-integer coordinate
+    lambda entries: entries.pop(),                     # a missing pair
+], ids=["bad-value", "bad-key", "float", "missing"])
+def test_disk_cache_rejects_invalid_coordinates(tmp_path, monkeypatch, caplog, a1_1, tamper):
+    # digest-correct files whose coordinates are not the pairs of B_1 (x) B_2
+    caplog.set_level(logging.WARNING, logger="crystal_ca.rmatrix")
+    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path))
+    clear_tables()
+    try:
+        table = dict(get_table(a1_1, 1, 2))
+        path = tmp_path / "rtable_A1_1_builtin_1_2.json"
+        doc = json.loads(path.read_text())
+        tamper(doc["payload"]["entries"])
+        doc["sha256"] = _payload_digest(doc["payload"])
+        path.write_text(json.dumps(doc))
+        clear_tables()
+        assert dict(get_table(a1_1, 1, 2)) == table
+        assert caplog.messages == [f"R-table cache {path} rejected: entries are not "
+                                   f"the coordinate pairs of B_1 (x) B_2"]
+        for u in enumerate_crystal(A1_1, 1):
+            for v in enumerate_crystal(A1_1, 2):
+                for r in r_elementary(a1_1, u, v):
+                    assert CrystalElement(r.spec, r.l, r.x) == r
+                    assert all(type(c) is int for c in r.x)
+    finally:
+        clear_tables()
 
 
 @pytest.mark.parametrize("l, m", [(2, 1), (1, 2), (2, 3), (3, 2)])
