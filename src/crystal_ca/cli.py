@@ -60,6 +60,13 @@ def _backend(args):
     return make_backend(_spec(args), tuple(args.crystal_graph))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags, so a bad value is reported with its flag."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         vals = tuple(int(v) for v in text.split(","))
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=int, default=None)
     p.add_argument("--M", default="auto")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--emit-json", default=None)
     p.set_defaults(func=cmd_verify_theorem)
 
@@ -440,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algebra_args(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-window", type=int, default=8)
-    p.add_argument("--max-cap", type=int, default=3)
+    p.add_argument("--max-window", type=_positive_int, default=8)
+    p.add_argument("--max-cap", type=_positive_int, default=3)
     p.add_argument("--emit-json", default=None)
     p.set_defaults(func=cmd_verify_corollary)
 

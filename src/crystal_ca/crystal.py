@@ -81,7 +81,7 @@ class CrystalElement:
 
         Only for coordinates derived from a valid element by a rule that keeps
         every invariant those checks enforce: backend images, slot
-        permutations, and R-table entries that were checked on load.
+        permutations, and R-table entries (which are backend images too).
         """
         el = object.__new__(cls)
         fields = el.__dict__

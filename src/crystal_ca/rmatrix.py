@@ -2,8 +2,8 @@
 
 Oracle: the unique pairwise swap B_l (x) B_m -> B_m (x) B_l commuting with all
 raising/lowering operators and fixing the extreme pairs; materialized by
-breadth-first propagation from those pairs and memoized (optionally on disk
-via CRYSTAL_CA_CACHE_DIR).
+breadth-first propagation from those pairs and memoized in memory per
+backend; its entries are backend images, so swaps return trusted elements.
 
 Factorized: a Weyl-operator chain followed by the block swap and the diagram
 automorphism, valid when the left factor carries a dominant letter.  Each
@@ -13,10 +13,6 @@ the intermediate-state laws the factorized form relies on.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-import os
 import random
 import threading
 from collections import deque
@@ -59,8 +55,6 @@ class InapplicableError(RuntimeError):
         self.trace = trace
 
 
-log = logging.getLogger(__name__)
-
 # ---------------------------------------------------------------------------
 # oracle tables
 
@@ -68,110 +62,15 @@ _TABLES: dict[tuple, dict] = {}
 _LOCK = threading.Lock()
 
 
-def _cache_path(family: str, rank: int, backend: str, l: int, m: int) -> str | None:
-    root = os.environ.get("CRYSTAL_CA_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"rtable_{family}_{rank}_{backend}_{l}_{m}.json")
-
-
-def _payload_digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _load_cached(path: str, family: str, rank: int, backend: str, l: int, m: int):
-    """The table stored at path, or None when there is none or it is rejected.
-
-    A file is accepted only when its digest matches, its header names this
-    table, and its keys and values are exactly the coordinate pairs of
-    B_l (x) B_m and B_m (x) B_l; r_elementary trusts the coordinates it reads.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as err:
-        log.warning("R-table cache %s rejected: corrupt (%s)", path, err)
-        return None
-    try:
-        payload = doc["payload"]
-        if doc.get("sha256") != _payload_digest(payload):
-            log.warning("R-table cache %s rejected: digest mismatch", path)
-            return None
-        if (payload.get("family"), payload.get("rank"), payload.get("backend"),
-                payload.get("l"), payload.get("m"), payload.get("schema")) != (
-                family, rank, backend, l, m, 1):
-            log.warning("R-table cache %s rejected: stale header", path)
-            return None
-        entries = payload["entries"]
-        table = {
-            (tuple(xl), tuple(xm)): (tuple(ym), tuple(yl))
-            for xl, xm, ym, yl in entries
-        }
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        log.warning("R-table cache %s rejected: corrupt (%s)", path, err)
-        return None
-    spec = AlgebraSpec(family, rank)
-    xs_l = [el.x for el in enumerate_crystal(spec, l)]
-    xs_m = xs_l if m == l else [el.x for el in enumerate_crystal(spec, m)]
-    if (any(type(v) is not int for row in entries for part in row for v in part)
-            or table.keys() != {(a, b) for a in xs_l for b in xs_m}
-            or set(table.values()) != {(b, a) for b in xs_m for a in xs_l}):
-        log.warning("R-table cache %s rejected: entries are not the coordinate pairs "
-                    "of B_%d (x) B_%d", path, l, m)
-        return None
-    return table
-
-
-def _store_cached(path: str, family: str, rank: int, backend: str, l: int, m: int,
-                  table: dict):
-    payload = {
-        "schema": 1,
-        "kind": "rtable",
-        "family": family,
-        "rank": rank,
-        "backend": backend,
-        "l": l,
-        "m": m,
-        "entries": [
-            [list(xl), list(xm), list(ym), list(yl)]
-            for (xl, xm), (ym, yl) in sorted(table.items())
-        ],
-    }
-    doc = {"payload": payload, "sha256": _payload_digest(payload)}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError as err:
-        log.warning("R-table cache %s not written: %s", path, err)
-
-
 def get_table(bk, l: int, m: int) -> dict:
-    """The swap table B_l (x) B_m -> B_m (x) B_l keyed on coordinate pairs.
-
-    Memoized per structure source (bk.identity), in memory and on disk.
-    """
+    """The swap table B_l (x) B_m -> B_m (x) B_l keyed on coordinate pairs,
+    built once per structure source (bk.identity) and memoized in memory."""
     spec = bk.spec
     key = (spec.family, spec.rank, bk.identity, l, m)
     with _LOCK:
-        if key in _TABLES:
-            return _TABLES[key]
-        path = _cache_path(*key)
-        if path is not None:
-            cached = _load_cached(path, *key)
-            if cached is not None:
-                _TABLES[key] = cached
-                return cached
-        table = _build_table(bk, l, m)
-        if path is not None:
-            _store_cached(path, *key, table)
-        _TABLES[key] = table
-        return table
+        if key not in _TABLES:
+            _TABLES[key] = _build_table(bk, l, m)
+        return _TABLES[key]
 
 
 def _query_rows(bk, spec: AlgebraSpec, l: int) -> dict:
@@ -421,6 +320,8 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
 def sample_domain_element(spec: AlgebraSpec, M: int, a: str, margin: int,
                           rng: random.Random) -> CrystalElement:
     """A random element of B_M inside the letter-a domain at the margin."""
+    if M < margin:
+        raise ValueError(f"M={M} is below the domain margin {margin}")
     slots = spec.coord_letters
     idx = {s: p for p, s in enumerate(slots)}
     if a not in idx:

@@ -131,6 +131,34 @@ def test_verify_theorem_json_deterministic(tmp_path, capsys):
     assert paths[0] == paths[1]
 
 
+@pytest.mark.parametrize("suite, args, margin", [
+    ("theorem", ("--shape", "1,2"), 3),
+    ("columns", ("--l", "2"), 2),
+], ids=["theorem", "columns"])
+def test_M_below_margin_exit_2(capsys, suite, args, margin):
+    # no element of B_M is margin-dominated when M < margin: bad input, not a fault
+    argv = ("verify", suite, "--algebra", "A1", "--rank", "2", *args, "--trials", "5")
+    code, _, err = run(capsys, *argv, "--M", str(margin - 1))
+    assert code == 2
+    assert err == f"error: M={margin - 1} is below the domain margin {margin}\n"
+    code, out, _ = run(capsys, *argv, "--M", str(margin))
+    assert code == 0
+    assert json.loads(out)["M"] == margin
+
+
+@pytest.mark.parametrize("suite, args, flag, value", [
+    ("theorem", ("--shape", "1"), "--jobs", "-3"),
+    ("corollary", (), "--max-cap", "0"),
+    ("corollary", (), "--max-window", "0"),
+], ids=["jobs", "max-cap", "max-window"])
+def test_count_flags_must_be_positive(capsys, suite, args, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--algebra", "A1", "--rank", "2", *args, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+
 def test_verify_yb(capsys):
     code, out, _ = run(capsys, "verify", "yb", "--algebra", "A1", "--rank", "1",
                        "--sizes", "1,2,2")

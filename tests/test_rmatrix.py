@@ -1,6 +1,4 @@
 """Swap tables, the factorized swap, side conditions, the verification suite."""
-import json
-import logging
 import random
 
 import pytest
@@ -37,8 +35,6 @@ from crystal_ca import (
     verify_theorem,
     yang_baxter_check,
 )
-
-from crystal_ca.rmatrix import _payload_digest
 
 A1_1 = AlgebraSpec("A1", 1)
 A1_2 = AlgebraSpec("A1", 2)
@@ -224,109 +220,24 @@ def test_unreached_pairs_detected():
         clear_tables()
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch, caplog, a1_1):
-    caplog.set_level(logging.WARNING, logger="crystal_ca.rmatrix")
-    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path))
-    clear_tables()
-    table = dict(get_table(a1_1, 1, 2))
-    path = tmp_path / "rtable_A1_1_builtin_1_2.json"
-    assert path.exists()
-    doc = json.loads(path.read_text())
-    assert doc["payload"]["schema"] == 1
-    clear_tables()
-    assert dict(get_table(a1_1, 1, 2)) == table
-    assert caplog.messages == []
-
-    # a corrupted file is ignored, logged and rebuilt
-    path.write_text(path.read_text()[:40])
-    clear_tables()
-    assert dict(get_table(a1_1, 1, 2)) == table
-    assert json.loads(path.read_text())["payload"]["schema"] == 1
-    assert len(caplog.messages) == 1
-    assert caplog.messages[0].startswith(f"R-table cache {path} rejected: corrupt (")
-    caplog.clear()
-
-    # a wrong digest is ignored too
-    doc = json.loads(path.read_text())
-    doc["sha256"] = "0" * 64
-    path.write_text(json.dumps(doc))
-    clear_tables()
-    assert dict(get_table(a1_1, 1, 2)) == table
-    assert caplog.messages == [f"R-table cache {path} rejected: digest mismatch"]
-    caplog.clear()
-
-    # so is a digest-correct file written for another table
-    doc = json.loads(path.read_text())
-    doc["payload"]["m"] = 3
-    doc["sha256"] = _payload_digest(doc["payload"])
-    path.write_text(json.dumps(doc))
-    clear_tables()
-    assert dict(get_table(a1_1, 1, 2)) == table
-    assert caplog.messages == [f"R-table cache {path} rejected: stale header"]
-    caplog.clear()
-
-    # a cache directory that cannot be created is logged, and the table still served
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")
-    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(blocker))
-    clear_tables()
-    assert dict(get_table(a1_1, 1, 2)) == table
-    unwritten = blocker / "rtable_A1_1_builtin_1_2.json"
-    assert any(m.startswith(f"R-table cache {unwritten} not written: ")
-               for m in caplog.messages)
-    clear_tables()
-
-
-def _set_value(entries, pos, coords):
-    entries[0][pos] = coords
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda entries: _set_value(entries, 2, [5, 5]),    # an image outside B_2
-    lambda entries: _set_value(entries, 0, [2, 2]),    # a key outside B_1
-    lambda entries: _set_value(entries, 3, [1.0, 0]),  # a non-integer coordinate
-    lambda entries: entries.pop(),                     # a missing pair
-], ids=["bad-value", "bad-key", "float", "missing"])
-def test_disk_cache_rejects_invalid_coordinates(tmp_path, monkeypatch, caplog, a1_1, tamper):
-    # digest-correct files whose coordinates are not the pairs of B_1 (x) B_2
-    caplog.set_level(logging.WARNING, logger="crystal_ca.rmatrix")
-    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path))
-    clear_tables()
-    try:
-        table = dict(get_table(a1_1, 1, 2))
-        path = tmp_path / "rtable_A1_1_builtin_1_2.json"
-        doc = json.loads(path.read_text())
-        tamper(doc["payload"]["entries"])
-        doc["sha256"] = _payload_digest(doc["payload"])
-        path.write_text(json.dumps(doc))
-        clear_tables()
-        assert dict(get_table(a1_1, 1, 2)) == table
-        assert caplog.messages == [f"R-table cache {path} rejected: entries are not "
-                                   f"the coordinate pairs of B_1 (x) B_2"]
-        for u in enumerate_crystal(A1_1, 1):
-            for v in enumerate_crystal(A1_1, 2):
-                for r in r_elementary(a1_1, u, v):
-                    assert CrystalElement(r.spec, r.l, r.x) == r
-                    assert all(type(c) is int for c in r.x)
-    finally:
-        clear_tables()
-
-
 @pytest.mark.parametrize("l, m", [(2, 1), (1, 2), (2, 3), (3, 2)])
 def test_table_cache_keyed_per_backend(tmp_path, monkeypatch, a1_1, l, m):
     # a rewired but structurally valid B_2: f_1 jumps 11 -> 22 directly
     path = tmp_path / "rewired.graph"
     path.write_text("A1 1 2\n11 1 22\n22 0 12\n12 0 11\n")
     rewired = Providers(AlgebraSpec("A1", 1), {2: load_graph(str(path), admit=False)})
-    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(tmp_path / "cache"))
+    # tables live in memory only; CRYSTAL_CA_CACHE_DIR is ignored, nothing is written
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(cache))
     clear_tables()
     try:
         builtin = get_table(a1_1, l, m)
         with pytest.raises(RMatrixError):
             get_table(rewired, l, m)
-        clear_tables()  # the disk copy of the builtin table is not handed over either
-        with pytest.raises(RMatrixError):
-            get_table(rewired, l, m)
+        assert get_table(a1_1, l, m) is builtin
+        clear_tables()
         assert get_table(a1_1, l, m) == builtin
+        assert list(cache.iterdir()) == []
     finally:
         clear_tables()
