@@ -59,10 +59,6 @@ class AlgebraSpec:
     # -- index set and letters -------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return self.rank
-
-    @property
     def index_set(self) -> tuple[int, ...]:
         return _index_set(self.rank)
 
@@ -103,13 +99,6 @@ class AlgebraSpec:
         if self.family == "D1":
             return {0: 1, 1: 0, n: n - 1, n - 1: n}.get(i, i)
         return i
-
-    def sigma_index_inv(self, i: int) -> int:
-        if self.family == "A1":
-            if i not in self.index_set:
-                raise ValueError(f"index {i} outside 0..{self.rank}")
-            return (i + 1) % (self.rank + 1)
-        return self.sigma_index(i)  # an involution otherwise
 
     @property
     def sigma_order(self) -> int:

@@ -323,8 +323,6 @@ def column_diagram_check(bk, u: CrystalElement, b: CrystalElement,
     Raises InapplicableError when the chain itself declines.
     """
     spec = u.spec
-    if margin is None:
-        margin = b.l
     image, trace = r_factorized(bk, Tensor((u, b)), k=k, margin=margin)
     tk_u = t_def(bk, u, k)
     outputs = []

@@ -25,8 +25,7 @@ from .crystal import (
     parse_element,
     sigma_letterwise,
     sigma_via_weyl,
-    t_closed,
-    t_def,
+    t_failures,
     weyl_s,
 )
 
@@ -347,16 +346,12 @@ def admission_errors(provider: GraphProvider, cap: int = 200_000) -> list[str]:
                 errs.append(f"[{brace}] e-max chain from {el.word()} misses the extreme point")
                 break
         # t-map: definition matches the closed form and separates points
-        seen: dict[tuple[int, ...], CrystalElement] = {}
-        for el in elements:
-            tv = t_def(bk, el)
-            if tv != t_closed(el):
-                errs.append(f"[{brace}] t({el.word()}) closed form mismatch")
-                break
-            if tv in seen:
-                errs.append(f"[{brace}] t not injective: {el.word()} vs {seen[tv].word()}")
-                break
-            seen[tv] = el
+        for bad in t_failures(bk, elements):
+            if bad["check"] == "closed-form":
+                errs.append(f"[{brace}] t({bad['element']}) closed form mismatch")
+            else:
+                errs.append(f"[{brace}] t not injective: {bad['element']} vs {bad['collides']}")
+            break
         # diagram automorphism: Weyl chain form, letter form, intertwining
         for el in elements:
             if sigma_via_weyl(bk, el) != sigma_letterwise(el):

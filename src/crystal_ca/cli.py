@@ -30,12 +30,12 @@ from .crystal import (
     enumerate_crystal,
     parse_element,
     parse_tensor,
-    t_closed,
-    t_def,
+    t_failures,
 )
 from .rmatrix import (
     InapplicableError,
     RMatrixError,
+    auto_capacity,
     r_composite,
     r_factorized,
     sample_domain_element,
@@ -44,27 +44,27 @@ from .rmatrix import (
 )
 
 
-def _add_algebra_args(p: argparse.ArgumentParser):
-    p.add_argument("--algebra", required=True, choices=FAMILIES)
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--brace", choices=("upper", "lower"), default="upper")
-    p.add_argument("--crystal-graph", action="append", default=[], metavar="PATH",
-                   help="crystal graph file; repeatable, one per capacity")
-
-
-def _spec(args) -> AlgebraSpec:
-    return AlgebraSpec(args.algebra, args.rank, args.brace)
-
-
 def _backend(args):
-    return make_backend(_spec(args), tuple(args.crystal_graph))
+    spec = AlgebraSpec(args.algebra, args.rank, args.brace)
+    return make_backend(spec, tuple(args.crystal_graph))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count flags, so a bad value is reported with its flag."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, kind: str):
+    """argparse type of a bounded integer flag, so a bad value is reported with its flag."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
+
+
+def _auto_or_int(text: str) -> int | None:
+    """argparse type of --M: "auto" (None, the package's choice) or an integer."""
+    return None if text == "auto" else int(text)
 
 
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -75,6 +75,11 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
     if not vals:
         raise FormatError(f"{what} must not be empty")
     return vals
+
+
+def _head(spec: AlgebraSpec) -> dict:
+    """The fields every JSON report opens with."""
+    return {"schema": 1, "algebra": spec.family, "rank": spec.rank, "brace": spec.brace}
 
 
 def _emit(report: dict, path: str | None, echo: bool = True) -> None:
@@ -111,11 +116,10 @@ def cmd_simulate(args) -> int:
                 f"no backend for {spec.family} rank {spec.rank} B_{c}; "
                 f"supply --crystal-graph"
             )
-    M_fixed = None if args.M == "auto" else int(args.M)
 
     def carrier_step(st):
-        if M_fixed is not None:
-            return evolve_carrier(bk, st, M_fixed)
+        if args.M is not None:
+            return evolve_carrier(bk, st, args.M)
         nxt, M_used = evolve_T(bk, st)
         _, trace = evolve_carrier(bk, st, M_used)
         return nxt, trace
@@ -161,15 +165,8 @@ def cmd_simulate(args) -> int:
                 "sites": [st.site(j).word() for j in range(lo, hi + 1)],
                 "carrier": [c.word() for c in traces[idx]],
             })
-        _emit({
-            "schema": 1,
-            "algebra": spec.family,
-            "rank": spec.rank,
-            "brace": spec.brace,
-            "k": k,
-            "mode": args.mode,
-            "steps": steps,
-        }, args.emit_json, echo=False)
+        _emit({**_head(spec), "k": k, "mode": args.mode, "steps": steps},
+              args.emit_json, echo=False)
 
     if disagreement is not None:
         print(f"modes disagree at step {disagreement}", file=sys.stderr)
@@ -191,10 +188,9 @@ def cmd_rmatrix(args) -> int:
         image = r_composite(bk, t, 1)
         print(image.word())
         return 0
-    margin = args.margin if args.margin is not None else sum(f.l for f in rhs.factors)
     print(t.word())
     try:
-        image, trace = r_factorized(bk, t, k=args.k, margin=margin)
+        image, trace = r_factorized(bk, t, k=args.k, margin=args.margin)
     except InapplicableError as err:
         for step in (err.trace.steps if err.trace else ()):
             print(f"S_{step.color} -> {step.state_after.word()}")
@@ -207,67 +203,41 @@ def cmd_rmatrix(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: each returns its report body; cmd_verify adds the head
 
 
-def cmd_verify_theorem(args) -> int:
-    bk = _backend(args)
-    shape = _csv_ints(args.shape, "--shape")
-    M = None if args.M == "auto" else int(args.M)
-    report = verify_theorem(
-        bk, shape, k=args.k, trials=args.trials, seed=args.seed,
-        margin=args.margin, M=M, jobs=args.jobs,
+def _verify_theorem(bk, args) -> dict:
+    return verify_theorem(
+        bk, _csv_ints(args.shape, "--shape"), k=args.k, trials=args.trials,
+        seed=args.seed, margin=args.margin, M=args.M, jobs=args.jobs,
     )
-    _emit(report, args.emit_json)
-    return 0 if not report["failures"] else 1
 
 
-def cmd_verify_yb(args) -> int:
-    bk = _backend(args)
+def _verify_yb(bk, args) -> dict:
     sizes = _csv_ints(args.sizes, "--sizes")
     if len(sizes) != 3:
         raise FormatError("--sizes needs exactly three entries")
     cases, mismatches = yang_baxter_check(bk, sizes)
-    report = {
-        "schema": 1, "suite": "yb", "algebra": bk.spec.family, "rank": bk.spec.rank,
+    return {
         "sizes": list(sizes), "cases": cases, "mismatches": mismatches,
         "failures": [] if mismatches == 0 else [{"sizes": list(sizes), "mismatches": mismatches}],
     }
-    _emit(report, args.emit_json)
-    return 0 if mismatches == 0 else 1
 
 
-def cmd_verify_tmap(args) -> int:
-    bk = _backend(args)
-    spec = bk.spec
+def _verify_tmap(bk, args) -> dict:
     levels = sorted(set(range(1, args.l + 1)) | set(bk.graphs))
     failures = []
     checked = 0
     for l in levels:
         if not bk.covers(l):
             continue
-        seen = {}
-        for el in enumerate_crystal(spec, l):
-            checked += 1
-            tv = t_def(bk, el)
-            if tv != t_closed(el):
-                failures.append({"l": l, "element": el.word(), "check": "closed-form",
-                                 "expected": list(t_closed(el)), "got": list(tv)})
-            if tv in seen:
-                failures.append({"l": l, "element": el.word(), "check": "injectivity",
-                                 "collides": seen[tv]})
-            seen[tv] = el.word()
-    report = {
-        "schema": 1, "suite": "tmap", "algebra": spec.family, "rank": spec.rank,
-        "brace": spec.brace, "levels": levels, "elements": checked,
-        "failures": failures,
-    }
-    _emit(report, args.emit_json)
-    return 0 if not failures else 1
+        elements = enumerate_crystal(bk.spec, l)
+        checked += len(elements)
+        failures += [{"l": l, **bad} for bad in t_failures(bk, elements)]
+    return {"levels": levels, "elements": checked, "failures": failures}
 
 
-def cmd_verify_corollary(args) -> int:
-    bk = _backend(args)
+def _verify_corollary(bk, args) -> dict:
     spec = bk.spec
     d = spec.d
     period = d * spec.sigma_order
@@ -310,28 +280,20 @@ def cmd_verify_corollary(args) -> int:
             failures.append(entry)
         else:
             passes += 1
-    report = {
-        "schema": 1, "suite": "corollary", "algebra": spec.family, "rank": spec.rank,
-        "brace": spec.brace, "trials": args.trials, "passes": passes,
-        "failures": failures,
-    }
-    _emit(report, args.emit_json)
-    return 0 if not failures else 1
+    return {"trials": args.trials, "passes": passes, "failures": failures}
 
 
-def cmd_verify_columns(args) -> int:
-    bk = _backend(args)
+def _verify_columns(bk, args) -> dict:
     spec = bk.spec
-    d = spec.d
     failures = []
     flagged = 0
     passes = 0
     pool = enumerate_crystal(spec, args.l)
     margin = args.margin if args.margin is not None else args.l
-    M = (2 * margin + spec.rank + 2) if args.M == "auto" else int(args.M)
+    M = auto_capacity(spec, margin) if args.M is None else args.M
     for tnum in range(args.trials):
         rng = random.Random(args.seed + tnum)
-        k = tnum % (d * spec.sigma_order)
+        k = tnum % (spec.d * spec.sigma_order)
         u = sample_domain_element(spec, M, spec.letter_at(k), margin, rng)
         b = rng.choice(pool)
         try:
@@ -344,14 +306,17 @@ def cmd_verify_columns(args) -> int:
         else:
             failures.append({"seed": args.seed + tnum, "k": k,
                              "u": u.word(), "b": b.word(), "report": rep})
-    report = {
-        "schema": 1, "suite": "columns", "algebra": spec.family, "rank": spec.rank,
-        "brace": spec.brace, "l": args.l, "M": M, "margin": margin,
-        "trials": args.trials, "passes": passes, "flagged": flagged,
-        "failures": failures,
+    return {
+        "l": args.l, "M": M, "margin": margin, "trials": args.trials,
+        "passes": passes, "flagged": flagged, "failures": failures,
     }
+
+
+def cmd_verify(args) -> int:
+    bk = _backend(args)
+    report = {**_head(bk.spec), "suite": args.suite, **args.body(bk, args)}
     _emit(report, args.emit_json)
-    return 0 if not failures else 1
+    return 1 if report["failures"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +353,28 @@ def cmd_graph_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags shared by several commands, each declared once on a parent parser
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--algebra", required=True, choices=FAMILIES)
+    algebra.add_argument("--rank", required=True, type=int)
+    algebra.add_argument("--brace", choices=("upper", "lower"), default="upper")
+    algebra.add_argument("--crystal-graph", action="append", default=[], metavar="PATH",
+                         help="crystal graph file; repeatable, one per capacity")
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit-json", default=None, metavar="PATH")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=_positive_int, default=100)
+    trials.add_argument("--seed", type=int, default=0)
+    margin = argparse.ArgumentParser(add_help=False)
+    margin.add_argument("--margin", type=_nonnegative_int, default=None)
+    capacity = argparse.ArgumentParser(add_help=False)
+    capacity.add_argument("--M", type=_auto_or_int, default="auto")
+
     top = argparse.ArgumentParser(prog="crystal-ca")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the cellular automaton")
-    _add_algebra_args(p)
+    p = sub.add_parser("simulate", parents=[algebra, capacity, emit],
+                       help="run the cellular automaton")
     p.add_argument("--background-k", type=int, default=0)
     p.add_argument("--capacities", default=None,
                    help="periodic site-capacity pattern, e.g. 2,2,1,2,1,2,2")
@@ -401,66 +383,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--mode", choices=("carrier", "factorized", "fine", "all"),
                    default="carrier")
-    p.add_argument("--M", default="auto")
     p.add_argument("--sep", default=".")
     p.add_argument("--pad", type=int, default=1)
-    p.add_argument("--emit-json", default=None, metavar="PATH")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("rmatrix", help="apply the combinatorial R matrix")
-    _add_algebra_args(p)
+    p = sub.add_parser("rmatrix", parents=[algebra, margin],
+                       help="apply the combinatorial R matrix")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--mode", choices=("oracle", "factorized"), default="oracle")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--margin", type=int, default=None)
     p.set_defaults(func=cmd_rmatrix)
 
     v = sub.add_parser("verify", help="run a verification suite")
+    v.set_defaults(func=cmd_verify)
     vs = v.add_subparsers(dest="suite", required=True)
 
-    p = vs.add_parser("theorem")
-    _add_algebra_args(p)
+    p = vs.add_parser("theorem", parents=[algebra, emit, trials, margin, capacity])
     p.add_argument("--shape", required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=int, default=None)
-    p.add_argument("--M", default="auto")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--emit-json", default=None)
-    p.set_defaults(func=cmd_verify_theorem)
+    p.set_defaults(body=_verify_theorem)
 
-    p = vs.add_parser("yb")
-    _add_algebra_args(p)
+    p = vs.add_parser("yb", parents=[algebra, emit])
     p.add_argument("--sizes", required=True)
-    p.add_argument("--emit-json", default=None)
-    p.set_defaults(func=cmd_verify_yb)
+    p.set_defaults(body=_verify_yb)
 
-    p = vs.add_parser("tmap")
-    _add_algebra_args(p)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--emit-json", default=None)
-    p.set_defaults(func=cmd_verify_tmap)
+    p = vs.add_parser("tmap", parents=[algebra, emit])
+    p.add_argument("--l", type=_positive_int, required=True)
+    p.set_defaults(body=_verify_tmap)
 
-    p = vs.add_parser("corollary")
-    _add_algebra_args(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p = vs.add_parser("corollary", parents=[algebra, emit, trials])
     p.add_argument("--max-window", type=_positive_int, default=8)
     p.add_argument("--max-cap", type=_positive_int, default=3)
-    p.add_argument("--emit-json", default=None)
-    p.set_defaults(func=cmd_verify_corollary)
+    p.set_defaults(body=_verify_corollary)
 
-    p = vs.add_parser("columns")
-    _add_algebra_args(p)
-    p.add_argument("--l", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin", type=int, default=None)
-    p.add_argument("--M", default="auto")
-    p.add_argument("--emit-json", default=None)
-    p.set_defaults(func=cmd_verify_columns)
+    p = vs.add_parser("columns", parents=[algebra, emit, trials, margin, capacity])
+    p.add_argument("--l", type=_positive_int, default=3)
+    p.set_defaults(body=_verify_columns)
 
     g = sub.add_parser("graph", help="crystal graph files")
     gs = g.add_subparsers(dest="action", required=True)
@@ -469,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_graph_check)
 
-    p = gs.add_parser("export")
-    _add_algebra_args(p)
+    p = gs.add_parser("export", parents=[algebra])
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_graph_export)

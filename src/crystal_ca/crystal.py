@@ -462,6 +462,22 @@ def t_closed(b: CrystalElement) -> tuple[int, ...]:
     return tuple(out)
 
 
+def t_failures(bk, elements):
+    """The t-map's law failures on `elements`, lazily and in order: a
+    "closed-form" entry when the definition misses t_closed, and an
+    "injectivity" entry when an element repeats an earlier element's value."""
+    seen: dict[tuple[int, ...], CrystalElement] = {}
+    for el in elements:
+        tv, closed = t_def(bk, el), t_closed(el)
+        if tv != closed:
+            yield {"element": el.word(), "check": "closed-form",
+                   "expected": list(closed), "got": list(tv)}
+        if tv in seen:
+            yield {"element": el.word(), "check": "injectivity",
+                   "collides": seen[tv].word()}
+        seen[tv] = el
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -168,11 +168,11 @@ def apply_r_at(bk, t: Tensor, pos: int) -> Tensor:
     return Tensor(t.factors[:pos] + (b2, a2) + t.factors[pos + 2 :])
 
 
-def r_composite(bk, t: Tensor, nleft: int, check_orders: bool = True) -> Tensor:
+def r_composite(bk, t: Tensor, nleft: int) -> Tensor:
     """Swap the first nleft factors past the rest by elementary moves.
 
-    Two extreme move orders exist; with check_orders they are both run and
-    must agree (they can differ only if the elementary table is inconsistent).
+    Two extreme move orders exist; both are run and must agree (they can
+    differ only if the elementary table is inconsistent).
     """
     total = len(t.factors)
     if not 1 <= nleft < total:
@@ -184,7 +184,7 @@ def r_composite(bk, t: Tensor, nleft: int, check_orders: bool = True) -> Tensor:
         for p in range(nleft + j - 1, j - 1, -1):
             cur = apply_r_at(bk, cur, p)
 
-    if check_orders and nleft > 1 and nright > 1:
+    if nleft > 1 and nright > 1:
         alt = t
         for i in range(nleft - 1, -1, -1):
             for p in range(i, i + nright):
@@ -317,6 +317,11 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
 # sampling and the verification suite
 
 
+def auto_capacity(spec: AlgebraSpec, margin: int) -> int:
+    """The default first-factor capacity M for a domain margin."""
+    return 2 * margin + spec.rank + 2
+
+
 def sample_domain_element(spec: AlgebraSpec, M: int, a: str, margin: int,
                           rng: random.Random) -> CrystalElement:
     """A random element of B_M inside the letter-a domain at the margin."""
@@ -379,12 +384,13 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
     Each trial draws a domain element of B_M and a random partner tensor of
     the given shape.  A side-condition refusal counts as flagged, not failed.
     With margin 0 half the draws are scrambled so refusals actually occur.
+    Returns the report body: its parameters, counts and failures.
     """
     spec = bk.spec
     if margin is None:
         margin = sum(shape)
     if M is None:
-        M = 2 * margin + spec.rank + 2
+        M = auto_capacity(spec, margin)
     a_k = spec.letter_at(k)
     pools = {l: enumerate_crystal(spec, l) for l in set(shape)}
     for l in set(shape):
@@ -447,26 +453,11 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
     else:
         results = [run_trial(t) for t in range(trials)]
 
-    passes = sum(1 for r in results if r["status"] == "pass")
-    flagged = [r for r in results if r["status"] == "flagged"]
-    failures = [r for r in results if r["status"] == "failed"]
+    by_status: dict[str, list] = {"pass": [], "flagged": [], "failed": []}
+    for r in results:
+        by_status[r.pop("status")].append(r)
     return {
-        "schema": 1,
-        "suite": "theorem",
-        "algebra": spec.family,
-        "rank": spec.rank,
-        "brace": spec.brace,
-        "shape": list(shape),
-        "k": k,
-        "M": M,
-        "margin": margin,
-        "trials": trials,
-        "passes": passes,
-        "flagged": len(flagged),
-        "flagged_examples": [
-            {k2: v for k2, v in r.items() if k2 != "status"} for r in flagged[:10]
-        ],
-        "failures": [
-            {k2: v for k2, v in r.items() if k2 != "status"} for r in failures
-        ],
+        "shape": list(shape), "k": k, "M": M, "margin": margin, "trials": trials,
+        "passes": len(by_status["pass"]), "flagged": len(by_status["flagged"]),
+        "flagged_examples": by_status["flagged"][:10], "failures": by_status["failed"],
     }

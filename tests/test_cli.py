@@ -150,13 +150,52 @@ def test_M_below_margin_exit_2(capsys, suite, args, margin):
     ("theorem", ("--shape", "1"), "--jobs", "-3"),
     ("corollary", (), "--max-cap", "0"),
     ("corollary", (), "--max-window", "0"),
-], ids=["jobs", "max-cap", "max-window"])
+    ("theorem", ("--shape", "1"), "--trials", "0"),
+    ("corollary", (), "--trials", "-2"),
+    ("columns", (), "--trials", "0"),
+    ("tmap", (), "--l", "-1"),
+    ("columns", (), "--l", "0"),
+], ids=["jobs", "max-cap", "max-window", "theorem-trials", "corollary-trials",
+        "columns-trials", "tmap-l", "columns-l"])
 def test_count_flags_must_be_positive(capsys, suite, args, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify", suite, "--algebra", "A1", "--rank", "2", *args, flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("verify", "columns"), "-4"),
+    (("verify", "theorem", "--shape", "1,2"), "-3"),
+    (("rmatrix", "--lhs", "111223", "--rhs", "344", "--mode", "factorized"), "-1"),
+], ids=["columns", "theorem", "rmatrix"])
+def test_margin_must_be_nonnegative(capsys, argv, value):
+    # the error names the flag, not a capacity derived from it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--algebra", "A1", "--rank", "3", "--margin", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --margin: must be a nonnegative integer, got '{value}'" in err
+    assert "capacity" not in err
+
+
+@pytest.mark.parametrize("suite, args", [
+    ("theorem", ("--shape", "1,1", "--trials", "4")),
+    ("yb", ("--sizes", "1,1,2")),
+    ("tmap", ("--l", "2")),
+    ("corollary", ("--trials", "3", "--max-window", "3", "--max-cap", "2")),
+    ("columns", ("--l", "1", "--trials", "4")),
+], ids=["theorem", "yb", "tmap", "corollary", "columns"])
+def test_verify_suites_share_head(tmp_path, capsys, suite, args):
+    path = tmp_path / f"{suite}.json"
+    code, out, _ = run(capsys, "verify", suite, "--algebra", "A1", "--rank", "2",
+                       "--brace", "lower", *args, "--emit-json", str(path))
+    assert code == 0
+    head = {"schema": 1, "suite": suite, "algebra": "A1", "rank": 2, "brace": "lower"}
+    for doc in (json.loads(out), json.loads(path.read_text())):
+        assert {key: doc.get(key) for key in head} == head
+        assert doc["failures"] == []
 
 
 def test_verify_yb(capsys):

@@ -27,6 +27,7 @@ from crystal_ca import (
     weyl_s,
 )
 from crystal_ca.algebra import _MIN_RANK
+from crystal_ca.crystal import t_failures
 
 SPEC2 = AlgebraSpec("A1", 2)
 SPEC3 = AlgebraSpec("A1", 3)
@@ -287,6 +288,24 @@ def test_t_injective_exhaustive(a1_3):
         assert tv == t_closed(el)
         assert tv not in seen
         seen[tv] = el
+
+
+def test_t_failures_reports_each_law(a1_2):
+    class PhiOneTooHigh:
+        def __getattr__(self, name):
+            return getattr(a1_2, name)
+
+        def phi(self, i, el):
+            return a1_2.phi(i, el) + (i == 1)
+
+    assert list(t_failures(a1_2, enumerate_crystal(SPEC2, 3))) == []
+    el = parse_element(SPEC2, "12")
+    assert list(t_failures(a1_2, [el, el])) == [
+        {"element": "12", "check": "injectivity", "collides": "12"}]
+    bad = list(t_failures(PhiOneTooHigh(), [el]))
+    assert bad == [{"element": "12", "check": "closed-form",
+                    "expected": list(t_closed(el)), "got": bad[0]["got"]}]
+    assert bad[0]["got"] != bad[0]["expected"]
 
 
 def test_weight_preserved_by_ops(a1_3):

@@ -103,7 +103,7 @@ def test_composite_block_orders(a1_2):
         t = Tensor((rng.choice(pool2), rng.choice(pool1), rng.choice(pool2),
                     rng.choice(pool1)))
         for nleft in (1, 2, 3):
-            r_composite(a1_2, t, nleft, check_orders=True)
+            r_composite(a1_2, t, nleft)
         assert r_composite(a1_2, t, 2) == apply_r_at(a1_2, apply_r_at(
             a1_2, apply_r_at(a1_2, apply_r_at(a1_2, t, 1), 0), 2), 1)
 
