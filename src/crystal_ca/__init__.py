@@ -20,7 +20,6 @@ from .backends import (
     GraphProvider,
     Providers,
     admission_errors,
-    export_graph,
     export_graph_text,
     load_graph,
     make_backend,

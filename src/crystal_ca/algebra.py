@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 FAMILIES = ("A1", "A2odd", "A2even", "B1", "C1", "D1", "D2")
 
@@ -84,6 +86,11 @@ class AlgebraSpec:
     def a_letters(self) -> tuple[str, ...]:
         """The letter set {a_k | k in Z}: background letters of the automaton."""
         return _a_letters(self.family, self.rank)
+
+    @property
+    def slots(self) -> SlotRules:
+        """Which coordinate vectors make up B_l, and sigma on them."""
+        return slot_rules(self.family, self.rank)
 
     # -- sigma -----------------------------------------------------------------
 
@@ -208,21 +215,49 @@ def _coord_letters(family: str, n: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _word_letters(family: str, n: int) -> tuple[str, ...]:
-    if family == "A1":
-        return _coord_letters(family, n)
-    middle: tuple[str, ...] = ()
-    if family in ("B1", "A2even", "C1"):
-        middle = ("0",)
-    elif family == "D2":
-        middle = ("0", "e")
-    return _plain(n) + middle + _barred(n)
+    letters, slack = _coord_letters(family, n), slot_rules(family, n).slack
+    if slack is None:
+        return letters
+    cut = n + ("0" in letters)  # after the plain letters and any stored 0
+    return letters[:cut] + (slack,) + letters[cut:]
 
 
 @lru_cache(maxsize=None)
 def _a_letters(family: str, n: int) -> tuple[str, ...]:
-    if family == "A1":
-        return _coord_letters(family, n)
-    return _plain(n) + _barred(n)
+    return tuple(a for a in _coord_letters(family, n) if a != "0")
+
+
+class SlotRules(NamedTuple):
+    """The element set of B_l as a rule on coordinate vectors x.
+
+    Without a slack letter the coordinates sum to l; with one, the slack
+    letter is not stored and fills the remaining l - sum(x) capacity at
+    slack_units per letter.  The spin slot holds 0 or 1, and the two pair
+    slots are never both positive.  slot_rules shares one record per family
+    and rank among all callers, so index must never be mutated.
+    """
+
+    index: dict[str, int]  # stored letter -> slot
+    slack: str | None  # "0" for A2even and C1, "e" for D2
+    slack_units: int | None  # capacity per slack letter: 2 for C1, else 1
+    spin: int | None  # the stored "0" of B1 and D2
+    pair: tuple[int, int] | None  # the slots of n and nb in D1
+    sigma: itemgetter  # x -> sigma(x), slot by slot
+
+
+_SLACK = {"A2even": ("0", 1), "C1": ("0", 2), "D2": ("e", 1)}
+
+
+@lru_cache(maxsize=None)
+def slot_rules(family: str, n: int) -> SlotRules:
+    letters = _coord_letters(family, n)
+    index = {a: p for p, a in enumerate(letters)}
+    slack, units = _SLACK.get(family, (None, None))
+    pair = (index[str(n)], index[f"{n}b"]) if family == "D1" else None
+    # sigma(b) holds a as often as b holds sigma^{-1}(a)
+    inv = AlgebraSpec(family, n).sigma_letter_inv
+    sigma = itemgetter(*(index[inv(a)] for a in letters))
+    return SlotRules(index, slack, units, index.get("0"), pair, sigma)
 
 
 @lru_cache(maxsize=None)

@@ -53,10 +53,7 @@ class AutomatonState:
     pattern: tuple[int, ...]
 
     def __post_init__(self):
-        pat = self.pattern
-        if isinstance(pat, int):
-            pat = (pat,)
-        pat = _minimal_period(tuple(int(c) for c in pat))
+        pat = _minimal_period(tuple(int(c) for c in self.pattern))
         if not pat or any(c < 1 for c in pat):
             raise ValueError(f"capacities must be positive, got {pat}")
         object.__setattr__(self, "pattern", pat)
@@ -145,7 +142,7 @@ class AutomatonState:
 
 
 def parse_state(spec: AlgebraSpec, k: int, text: str,
-                pattern: tuple[int, ...] | int | None = None,
+                pattern: tuple[int, ...] | None = None,
                 window_start: int = 0) -> AutomatonState:
     """Build a state from dot-separated site words.
 

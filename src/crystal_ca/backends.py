@@ -11,7 +11,6 @@ automorphism, and S_i being an involution.
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 from .algebra import FAMILIES, AlgebraSpec
@@ -294,21 +293,16 @@ def _check_structure(header, f_edges, where):
         raise GraphError(f"{where}: {len(missing)} elements of B_{l} unreached by any arrow")
 
 
-def export_graph(bk: Providers, l: int, fh) -> None:
-    """Write the B_l arrow list in the loadable text format."""
+def export_graph_text(bk: Providers, l: int) -> str:
+    """The B_l arrow list in the loadable text format."""
     spec = bk.spec
-    fh.write(f"{spec.family} {spec.rank} {l}\n")
+    lines = [f"{spec.family} {spec.rank} {l}\n"]
     for el in enumerate_crystal(spec, l):
-        for i in sorted(spec.index_set):
+        for i in spec.index_set:
             out = bk.f(i, el)
             if out is not None:
-                fh.write(f"{el.word()} {i} {out.word()}\n")
-
-
-def export_graph_text(bk: Providers, l: int) -> str:
-    buf = io.StringIO()
-    export_graph(bk, l, buf)
-    return buf.getvalue()
+                lines.append(f"{el.word()} {i} {out.word()}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

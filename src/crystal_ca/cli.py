@@ -234,6 +234,11 @@ def _verify_tmap(bk, args) -> dict:
         elements = enumerate_crystal(bk.spec, l)
         checked += len(elements)
         failures += [{"l": l, **bad} for bad in t_failures(bk, elements)]
+    if not checked:
+        raise BackendMissing(
+            f"no backend for {bk.spec.family} rank {bk.spec.rank} at levels "
+            f"1..{args.l}; supply --crystal-graph"
+        )
     return {"levels": levels, "elements": checked, "failures": failures}
 
 
@@ -380,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="periodic site-capacity pattern, e.g. 2,2,1,2,1,2,2")
     p.add_argument("--window-start", type=int, default=0)
     p.add_argument("--state", required=True)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_nonnegative_int, default=1)
     p.add_argument("--mode", choices=("carrier", "factorized", "fine", "all"),
                    default="carrier")
     p.add_argument("--sep", default=".")
-    p.add_argument("--pad", type=int, default=1)
+    p.add_argument("--pad", type=_nonnegative_int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("rmatrix", parents=[algebra, margin],
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph_check)
 
     p = gs.add_parser("export", parents=[algebra])
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_positive_int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_graph_export)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraSpec, _coord_letters, bar, is_barred
+from .algebra import AlgebraSpec, bar, is_barred
 
 
 class FormatError(ValueError):
@@ -45,35 +45,26 @@ class CrystalElement:
     x: tuple[int, ...]
 
     def __post_init__(self):
-        spec, l, x = self.spec, self.l, self.x
+        l, x, slots = self.l, self.x, self.spec.slots
         if l < 1:
             raise ValueError(f"capacity must be positive, got {l}")
-        fam, n = spec.family, spec.rank
-        slots = len(_coord_letters(fam, n))
-        if len(x) != slots:
-            raise ValueError(f"expected {slots} coordinates, got {len(x)}")
+        if len(x) != len(slots.index):
+            raise ValueError(f"expected {len(slots.index)} coordinates, got {len(x)}")
         if min(x) < 0:
             raise ValueError(f"negative coordinate in {x}")
         total = sum(x)
-        if fam in ("A1", "A2odd", "D1") and total != l:
-            raise ValueError(f"coordinates {x} must sum to {l}")
-        if fam == "B1":
-            if x[n] not in (0, 1):
-                raise ValueError(f"slot x_0 must be 0 or 1, got {x[n]}")
+        if slots.slack is None:
             if total != l:
                 raise ValueError(f"coordinates {x} must sum to {l}")
-        if fam == "A2even" and total > l:
-            raise ValueError(f"coordinate sum {total} exceeds capacity {l}")
-        if fam == "C1":
-            if total > l or (l - total) % 2:
-                raise ValueError(f"coordinate sum {total} not in {{l, l-2, ...}} for l={l}")
-        if fam == "D1" and x[n - 1] and x[n]:
+        elif total > l or (l - total) % slots.slack_units:
+            raise ValueError(
+                f"capacity {l} minus coordinate sum {total} is not a whole "
+                f"count of {slots.slack!r} letters"
+            )
+        if slots.spin is not None and x[slots.spin] > 1:
+            raise ValueError(f"slot x_0 must be 0 or 1, got {x[slots.spin]}")
+        if slots.pair and x[slots.pair[0]] and x[slots.pair[1]]:
             raise ValueError(f"x_n and x_n-bar cannot both be positive in {x}")
-        if fam == "D2":
-            if x[n] not in (0, 1):
-                raise ValueError(f"slot x_0 must be 0 or 1, got {x[n]}")
-            if total > l:
-                raise ValueError(f"coordinate sum {total} exceeds capacity {l}")
 
     @classmethod
     def _trusted(cls, spec: AlgebraSpec, l: int, x: tuple[int, ...]) -> CrystalElement:
@@ -92,16 +83,13 @@ class CrystalElement:
 
     def get(self, a: str) -> int:
         """Multiplicity of a letter, including the derived ones."""
-        spec = self.spec
-        if a == "0" and spec.family in ("A2even", "C1"):
-            s = self.l - sum(self.x)
-            return s if spec.family == "A2even" else s // 2
-        if a == "e" and spec.family == "D2":
-            return self.l - sum(self.x)
+        slots = self.spec.slots
+        if a == slots.slack:
+            return (self.l - sum(self.x)) // slots.slack_units
         try:
-            return self.x[_slot_index(spec)[a]]
+            return self.x[slots.index[a]]
         except KeyError:
-            raise ValueError(f"letter {a!r} not legal for {spec.family}") from None
+            raise ValueError(f"letter {a!r} not legal for {self.spec.family}") from None
 
     def word(self) -> str:
         """Canonical text form, e.g. 112333b1b."""
@@ -144,11 +132,6 @@ Element = CrystalElement | Tensor
 
 
 @lru_cache(maxsize=None)
-def _slot_index(spec: AlgebraSpec) -> dict[str, int]:
-    return {a: i for i, a in enumerate(spec.coord_letters)}
-
-
-@lru_cache(maxsize=None)
 def _legal_letters(spec: AlgebraSpec) -> frozenset[str]:
     return frozenset(spec.word_letters)
 
@@ -172,16 +155,10 @@ def from_counts(spec: AlgebraSpec, counts: dict[str, int], l: int | None = None)
         if a not in legal:
             raise FormatError(f"letter {a!r} not legal for {spec.family} rank {spec.rank}")
     stored = tuple(counts.get(a, 0) for a in spec.coord_letters)
-    total = sum(stored)
-    fam = spec.family
-    if fam in ("A2even",):
-        inferred = total + counts.get("0", 0)
-    elif fam == "C1":
-        inferred = total + 2 * counts.get("0", 0)
-    elif fam == "D2":
-        inferred = total + counts.get("e", 0)
-    else:
-        inferred = total
+    inferred = sum(stored)
+    slots = spec.slots
+    if slots.slack is not None:
+        inferred += slots.slack_units * counts.get(slots.slack, 0)
     if l is not None and l != inferred:
         raise FormatError(f"word implies capacity {inferred}, expected {l}")
     return CrystalElement(spec, inferred, stored)
@@ -359,16 +336,8 @@ def sigma_letterwise(b: Element) -> Element:
     """
     if isinstance(b, Tensor):
         return Tensor(tuple(sigma_letterwise(f) for f in b.factors))
-    spec, x = b.spec, list(b.x)
-    if spec.family == "A1":
-        x = x[1:] + x[:1]
-    elif spec.family in ("A2odd", "B1"):
-        x[0], x[-1] = x[-1], x[0]
-    elif spec.family == "D1":
-        n = spec.rank
-        x[0], x[-1] = x[-1], x[0]
-        x[n - 1], x[n] = x[n], x[n - 1]
-    return CrystalElement._trusted(spec, b.l, tuple(x))
+    spec = b.spec
+    return CrystalElement._trusted(spec, b.l, spec.slots.sigma(b.x))
 
 
 def sigma_letterwise_pow(b: Element, power: int) -> Element:
@@ -483,37 +452,30 @@ def t_failures(bk, elements):
 
 
 def enumerate_crystal(spec: AlgebraSpec, l: int, cap: int = 200_000) -> list[CrystalElement]:
-    """All elements of B_l in lexicographic coordinate order."""
-    fam, n = spec.family, spec.rank
-    slots = len(spec.coord_letters)
-    exact = fam in ("A1", "A2odd", "B1", "D1")
-    x0_slot = n if fam in ("B1", "D2") else None
+    """All elements of B_l in lexicographic coordinate order.
+
+    Walks the vectors of coordinate sum at most l (exactly l without a slack
+    letter, spin slot at most 1) and keeps those the constructor accepts.
+    """
+    if l < 1:
+        raise ValueError(f"capacity must be positive, got {l}")
+    slots = spec.slots
+    last = len(slots.index) - 1
     out: list[CrystalElement] = []
 
     def rec(prefix: list[int], used: int):
         pos = len(prefix)
-        if pos == slots:
-            if exact and used != l:
-                return
-            if fam == "C1" and (l - used) % 2:
-                return
-            if fam == "D1" and prefix[n - 1] and prefix[n]:
+        if pos > last:
+            try:
+                el = CrystalElement(spec, l, tuple(prefix))
+            except ValueError:
                 return
             if len(out) >= cap:
-                raise CapExceeded(f"enumeration of {fam} B_{l} exceeds cap {cap}")
-            out.append(CrystalElement(spec, l, tuple(prefix)))
+                raise CapExceeded(f"enumeration of {spec.family} B_{l} exceeds cap {cap}")
+            out.append(el)
             return
-        hi = l - used
-        if pos == x0_slot:
-            hi = min(hi, 1)
-        if exact and pos == slots - 1:
-            lo = l - used
-            if lo > hi:
-                return
-        else:
-            lo = 0
-        if fam == "D1" and pos == n and prefix[n - 1]:
-            hi = 0
+        hi = min(l - used, 1) if pos == slots.spin else l - used
+        lo = hi if pos == last and slots.slack is None else 0
         for v in range(lo, hi + 1):
             prefix.append(v)
             rec(prefix, used + v)

@@ -327,31 +327,24 @@ def sample_domain_element(spec: AlgebraSpec, M: int, a: str, margin: int,
     """A random element of B_M inside the letter-a domain at the margin."""
     if M < margin:
         raise ValueError(f"M={M} is below the domain margin {margin}")
-    slots = spec.coord_letters
-    idx = {s: p for p, s in enumerate(slots)}
-    if a not in idx:
+    slots = spec.slots
+    if a not in slots.index:
         raise ValueError(f"letter {a!r} has no stored slot")
-    cap = max(0, (M - margin) // (len(slots) + 1))
-    x = [0] * len(slots)
-    n = spec.rank
-    for p, s in enumerate(slots):
-        if s == a:
-            continue
-        hi = cap
-        if spec.family in ("B1", "D2") and s == "0":
-            hi = min(hi, 1)
-        x[p] = rng.randint(0, hi)
-    if spec.family == "D1":
-        # only one of the two middle slots may be occupied
-        if a == str(n):
-            x[idx[f"{n}b"]] = 0
-        elif a == f"{n}b":
-            x[idx[str(n)]] = 0
-        elif rng.random() < 0.5:
-            x[idx[str(n)]] = 0
+    home = slots.index[a]
+    size = len(slots.index)
+    cap = max(0, (M - margin) // (size + 1))
+    x = [0] * size
+    for p in range(size):
+        if p != home:
+            x[p] = rng.randint(0, min(cap, 1) if p == slots.spin else cap)
+    if slots.pair:
+        # only one pair slot may be occupied: a's own, or else a coin's pick
+        p, q = slots.pair
+        if home == q or (home != p and rng.random() < 0.5):
+            x[p] = 0
         else:
-            x[idx[f"{n}b"]] = 0
-    x[idx[a]] = M - sum(x)
+            x[q] = 0
+    x[home] = M - sum(x)
     el = CrystalElement(spec, M, tuple(x))
     if not in_domain(el, a, margin):
         raise AssertionError("domain sampler produced an out-of-domain element")
@@ -360,15 +353,10 @@ def sample_domain_element(spec: AlgebraSpec, M: int, a: str, margin: int,
 
 def _scramble(el: CrystalElement, rng: random.Random) -> CrystalElement:
     """Permute coordinate values to break dominance (margin-0 control mode)."""
-    spec = el.spec
-    x = list(el.x)
-    if spec.family == "A1":
-        rng.shuffle(x)
-        return CrystalElement(spec, el.l, tuple(x))
-    safe = [p for p, s in enumerate(spec.coord_letters) if s != "0"]
-    if spec.family == "D1":
-        n = spec.rank
-        safe = [p for p in safe if p not in (n - 1, n)]
+    spec, x = el.spec, list(el.x)
+    slots = spec.slots
+    fixed = {slots.spin, *(slots.pair or ())}  # moving these could leave B_l
+    safe = [p for p in range(len(x)) if p not in fixed]
     vals = [x[p] for p in safe]
     rng.shuffle(vals)
     for p, v in zip(safe, vals):

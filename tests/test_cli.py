@@ -146,38 +146,54 @@ def test_M_below_margin_exit_2(capsys, suite, args, margin):
     assert json.loads(out)["M"] == margin
 
 
-@pytest.mark.parametrize("suite, args, flag, value", [
-    ("theorem", ("--shape", "1"), "--jobs", "-3"),
-    ("corollary", (), "--max-cap", "0"),
-    ("corollary", (), "--max-window", "0"),
-    ("theorem", ("--shape", "1"), "--trials", "0"),
-    ("corollary", (), "--trials", "-2"),
-    ("columns", (), "--trials", "0"),
-    ("tmap", (), "--l", "-1"),
-    ("columns", (), "--l", "0"),
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "theorem", "--shape", "1"), "--jobs", "-3"),
+    (("verify", "corollary"), "--max-cap", "0"),
+    (("verify", "corollary"), "--max-window", "0"),
+    (("verify", "theorem", "--shape", "1"), "--trials", "0"),
+    (("verify", "corollary"), "--trials", "-2"),
+    (("verify", "columns"), "--trials", "0"),
+    (("verify", "tmap"), "--l", "-1"),
+    (("verify", "columns"), "--l", "0"),
+    (("graph", "export"), "--l", "-2"),
 ], ids=["jobs", "max-cap", "max-window", "theorem-trials", "corollary-trials",
-        "columns-trials", "tmap-l", "columns-l"])
-def test_count_flags_must_be_positive(capsys, suite, args, flag, value):
+        "columns-trials", "tmap-l", "columns-l", "export-l"])
+def test_count_flags_must_be_positive(capsys, argv, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", suite, "--algebra", "A1", "--rank", "2", *args, flag, value])
+        main([*argv, "--algebra", "A1", "--rank", "2", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be a positive integer, got '{value}'" in err
 
 
-@pytest.mark.parametrize("argv, value", [
-    (("verify", "columns"), "-4"),
-    (("verify", "theorem", "--shape", "1,2"), "-3"),
-    (("rmatrix", "--lhs", "111223", "--rhs", "344", "--mode", "factorized"), "-1"),
-], ids=["columns", "theorem", "rmatrix"])
-def test_margin_must_be_nonnegative(capsys, argv, value):
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "columns"), "--margin", "-4"),
+    (("verify", "theorem", "--shape", "1,2"), "--margin", "-3"),
+    (("rmatrix", "--lhs", "111223", "--rhs", "344", "--mode", "factorized"), "--margin", "-1"),
+    (("simulate", "--state", "2.2"), "--steps", "-3"),
+    (("simulate", "--state", "2.2"), "--pad", "-1"),
+], ids=["columns", "theorem", "rmatrix", "steps", "pad"])
+def test_margin_must_be_nonnegative(capsys, argv, flag, value):
     # the error names the flag, not a capacity derived from it
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--algebra", "A1", "--rank", "3", "--margin", value])
+        main([*argv, "--algebra", "A1", "--rank", "3", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --margin: must be a nonnegative integer, got '{value}'" in err
+    assert f"argument {flag}: must be a nonnegative integer, got '{value}'" in err
     assert "capacity" not in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("yb", "--algebra", "A1", "--rank", "1", "--sizes=-1,1,1"), 2,
+     "error: capacity must be positive, got -1"),
+    (("tmap", "--algebra", "C1", "--rank", "2", "--l", "2"), 3,
+     "error: no backend for C1 rank 2 at levels 1..2"),
+], ids=["yb-negative-size", "tmap-uncovered"])
+def test_suite_that_checks_nothing_fails(capsys, argv, code, message):
+    got, out, err = run(capsys, "verify", *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("suite, args", [

@@ -1,7 +1,10 @@
 """Element construction, text round trips, and enumeration."""
+import random
+
 import pytest
 
 from crystal_ca import (
+    FAMILIES,
     AlgebraSpec,
     CapExceeded,
     CrystalElement,
@@ -12,7 +15,11 @@ from crystal_ca import (
     from_counts,
     parse_element,
     parse_tensor,
+    sample_domain_element,
+    sigma_letterwise,
 )
+from crystal_ca.algebra import _MIN_RANK
+from crystal_ca.rmatrix import _scramble
 
 A13 = AlgebraSpec("A1", 3)
 A2ODD3 = AlgebraSpec("A2odd", 3)
@@ -165,3 +172,57 @@ def test_enumeration_respects_constraints():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_crystal(A13, 3, cap=5)
+
+
+@pytest.mark.parametrize("l", [0, -1])
+def test_enumeration_rejects_nonpositive_capacity(l):
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        enumerate_crystal(A13, l)
+
+
+def _vectors(size, total):
+    """Every nonnegative vector of the given size and sum at most total, in
+    lexicographic order."""
+    if size == 0:
+        yield ()
+        return
+    for v in range(total + 1):
+        for rest in _vectors(size - 1, total - v):
+            yield (v,) + rest
+
+
+def _valid(spec, l, x):
+    try:
+        CrystalElement(spec, l, x)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family, rank", [
+    (fam, _MIN_RANK[fam] + extra) for fam in FAMILIES for extra in (0, 1)
+])
+def test_slot_rules_agree_across_consumers(family, rank):
+    spec = AlgebraSpec(family, rank)
+    size = len(spec.coord_letters)
+    for l in range(1, 5):
+        els = enumerate_crystal(spec, l)
+        # the sum-l+1 layer lies wholly outside B_l, so it is a filter case too
+        assert [el.x for el in els] == [
+            x for x in _vectors(size, l + 1) if _valid(spec, l, x)
+        ]
+        for el in els:
+            image = sigma_letterwise(el)
+            counts = {a: el.get(a) for a in spec.word_letters}
+            assert {spec.sigma_letter(a): c for a, c in counts.items()} == {
+                a: image.get(a) for a in spec.word_letters
+            }
+            # the slack letter's count carries the capacity the vector leaves
+            assert from_counts(spec, counts) == el
+        rng = random.Random(l)
+        for margin in range(3):
+            for a in spec.a_letters:
+                # this M lets the sampler draw up to l on every other slot
+                u = sample_domain_element(spec, margin + (size + 1) * l, a, margin, rng)
+                for x in (u.x, _scramble(u, rng).x):
+                    assert _valid(spec, u.l, x)
