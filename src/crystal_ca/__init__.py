@@ -48,10 +48,8 @@ from .crystal import (
     weyl_s,
 )
 from .rmatrix import (
-    FactorizationTrace,
     InapplicableError,
     RMatrixError,
-    TraceStep,
     UnreachedElement,
     apply_r_at,
     clear_tables,

@@ -320,15 +320,15 @@ def column_diagram_check(bk, u: CrystalElement, b: CrystalElement,
     Raises InapplicableError when the chain itself declines.
     """
     spec = u.spec
-    image, trace = r_factorized(bk, Tensor((u, b)), k=k, margin=margin)
+    image, states = r_factorized(bk, Tensor((u, b)), k=k, margin=margin)
     tk_u = t_def(bk, u, k)
     outputs = []
     cells_ok = True
     for j in range(1, spec.d + 1):
         i = spec.index_at(k + j)
-        prev_site = trace.states[j - 1].factors[1]
+        prev_site = states[j - 1].factors[1]
         want_site, s_out = vertex_step(bk, i, tk_u[j - 1], prev_site)
-        if want_site != trace.states[j].factors[1]:
+        if want_site != states[j].factors[1]:
             cells_ok = False
         outputs.append(s_out)
     b_oracle, v_oracle = r_elementary(bk, u, b)

@@ -1,9 +1,10 @@
 """Command-line front end: simulate, rmatrix, verify, graph.
 
 Exit codes: 0 success, 1 verification failure or declined computation,
-2 malformed input, 3 missing structure backend, 4 size cap exceeded,
-5 evolution-mode disagreement, 6 internal error (a broken invariant of the
-package itself, reported in one line).
+2 malformed input or a file that cannot be read or written, 3 missing
+structure backend, 4 size cap exceeded, 5 evolution-mode disagreement,
+6 internal error (a broken invariant of the package itself, reported in one
+line).
 """
 from __future__ import annotations
 
@@ -63,8 +64,8 @@ _nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _auto_or_int(text: str) -> int | None:
-    """argparse type of --M: "auto" (None, the package's choice) or an integer."""
-    return None if text == "auto" else int(text)
+    """argparse type of --M: "auto" (None, the package's choice) or a positive integer."""
+    return None if text == "auto" else _positive_int(text)
 
 
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -185,19 +186,21 @@ def cmd_rmatrix(args) -> int:
     rhs = parse_tensor(spec, args.rhs)
     t = Tensor((lhs,) + rhs.factors)
     if args.mode == "oracle":
-        image = r_composite(bk, t, 1)
-        print(image.word())
+        print(r_composite(bk, t).word())
         return 0
+
+    def print_chain(states):
+        for j, st in enumerate(states[1:], 1):
+            print(f"S_{spec.index_at(args.k + j)} -> {st.word()}")
+
     print(t.word())
     try:
-        image, trace = r_factorized(bk, t, k=args.k, margin=args.margin)
+        image, states = r_factorized(bk, t, k=args.k, margin=args.margin)
     except InapplicableError as err:
-        for step in (err.trace.steps if err.trace else ()):
-            print(f"S_{step.color} -> {step.state_after.word()}")
+        print_chain(err.states)
         print(f"inapplicable ({err.reason}): {err}", file=sys.stderr)
         return 1
-    for step in trace.steps:
-        print(f"S_{step.color} -> {step.state_after.word()}")
+    print_chain(states)
     print(f"-> {image.word()}")
     return 0
 
@@ -461,7 +464,7 @@ def main(argv=None) -> int:
     except (InapplicableError, RMatrixError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

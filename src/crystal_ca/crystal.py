@@ -341,7 +341,7 @@ def sigma_letterwise(b: Element) -> Element:
 
 
 def sigma_letterwise_pow(b: Element, power: int) -> Element:
-    spec = b.spec if isinstance(b, CrystalElement) else b.factors[0].spec
+    spec = b.spec
     for _ in range(power % spec.sigma_order):
         b = sigma_letterwise(b)
     return b
@@ -380,7 +380,7 @@ def t_def(bk, b: Element, k: int = 0) -> tuple[int, ...]:
 
     With offset k the chain uses colors i_{k+1}..i_{k+d}; k=0 is the standard map.
     """
-    spec = b.spec if isinstance(b, CrystalElement) else b.factors[0].spec
+    spec = b.spec
     out = []
     for j in range(1, spec.d + 1):
         i = spec.index_at(k + j)

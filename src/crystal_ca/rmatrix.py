@@ -8,8 +8,9 @@ backend; its entries are backend images, so swaps return trusted elements.
 Factorized: a Weyl-operator chain followed by the block swap and the diagram
 automorphism, valid when the left factor carries a dominant letter.  Each
 chain step checks its side conditions and flags instead of guessing when they
-fail.  verify_theorem races the two forms on random inputs and also checks
-the intermediate-state laws the factorized form relies on.
+fail; the chain's states are returned with the image.  verify_theorem races
+the two forms on random inputs and also checks the intermediate-state laws
+the factorized form relies on.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import random
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, bar, is_barred
 from .crystal import (
@@ -34,7 +34,7 @@ from .crystal import (
 
 
 class RMatrixError(RuntimeError):
-    """The backend violates R-matrix laws (propagation conflict, order split)."""
+    """The backend violates R-matrix laws (a propagation conflict)."""
 
 
 class UnreachedElement(RMatrixError):
@@ -45,14 +45,17 @@ class InapplicableError(RuntimeError):
     """The factorized form declines: a side condition failed.
 
     reason is one of 'domain', 'orientation', 'locality'; step is the global
-    chain position when the failure is mid-chain.
+    chain position when the failure is mid-chain; states are the chain's
+    tensors up to the last step that passed its checks, input first (empty
+    for a domain refusal).
     """
 
-    def __init__(self, reason: str, message: str, step: int | None = None, trace=None):
+    def __init__(self, reason: str, message: str, step: int | None = None,
+                 states: tuple = ()):
         super().__init__(message)
         self.reason = reason
         self.step = step
-        self.trace = trace
+        self.states = states
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +171,14 @@ def apply_r_at(bk, t: Tensor, pos: int) -> Tensor:
     return Tensor(t.factors[:pos] + (b2, a2) + t.factors[pos + 2 :])
 
 
-def r_composite(bk, t: Tensor, nleft: int) -> Tensor:
-    """Swap the first nleft factors past the rest by elementary moves.
-
-    Two extreme move orders exist; both are run and must agree (they can
-    differ only if the elementary table is inconsistent).
-    """
-    total = len(t.factors)
-    if not 1 <= nleft < total:
-        raise ValueError(f"nleft must split {total} factors into two blocks")
-    nright = total - nleft
-
-    cur = t
-    for j in range(nright):
-        for p in range(nleft + j - 1, j - 1, -1):
-            cur = apply_r_at(bk, cur, p)
-
-    if nleft > 1 and nright > 1:
-        alt = t
-        for i in range(nleft - 1, -1, -1):
-            for p in range(i, i + nright):
-                alt = apply_r_at(bk, alt, p)
-        if alt != cur:
-            raise RMatrixError("the two threading orders disagree")
-    return cur
+def r_composite(bk, t: Tensor) -> Tensor:
+    """Move the first factor past the rest by elementary swaps, left to right."""
+    carried, *rest = t.factors
+    out = []
+    for b in rest:
+        moved, carried = r_elementary(bk, carried, b)
+        out.append(moved)
+    return Tensor((*out, carried))
 
 
 def yang_baxter_check(bk, sizes: tuple[int, int, int]) -> tuple[int, int]:
@@ -242,30 +229,15 @@ def in_domain(u: CrystalElement, a: str, margin: int) -> bool:
 # factorized form
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    m: int
-    color: int
-    eps_before: int
-    phi_before: int
-    state_after: Tensor
-
-
-@dataclass(frozen=True)
-class FactorizationTrace:
-    k: int
-    margin: int
-    states: tuple[Tensor, ...]
-    steps: tuple[TraceStep, ...]
-
-
 def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
     """Move the first factor past the rest by the Weyl chain at offset k.
 
-    Returns (image, trace).  Raises InapplicableError when a side condition
-    fails: the first factor must be margin-dominated by the offset's letter,
-    each chain step must see a strict eps > phi imbalance, and after each
-    step the tensor's eps must live entirely on the first factor.
+    Returns (image, states): states are the chain's d + 1 tensors, input
+    first, with step j applying color spec.index_at(k + j).  Raises
+    InapplicableError when a side condition fails: the first factor must be
+    margin-dominated by the offset's letter, each chain step must see a
+    strict eps > phi imbalance, and after each step the tensor's eps must
+    live entirely on the first factor.
     """
     if len(t.factors) < 2:
         raise ValueError("need at least two factors")
@@ -281,19 +253,17 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
         )
     cur = t
     states = [t]
-    steps = []
     for j in range(1, spec.d + 1):
         m = k + j
         i = spec.index_at(m)
         eb, pb = eps(bk, i, cur), phi(bk, i, cur)
-        trace = FactorizationTrace(k, margin, tuple(states), tuple(steps))
         if eb <= pb:
             raise InapplicableError(
                 "orientation",
                 f"eps_{i}={eb} <= phi_{i}={pb} before step {m}; "
                 f"first-factor capacity too small for this window",
                 step=m,
-                trace=trace,
+                states=tuple(states),
             )
         cur = weyl_s(bk, i, cur)
         ea = eps(bk, i, cur)
@@ -304,13 +274,12 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
                 f"after step {m}, eps_{i} of the tensor is {ea} but "
                 f"{eau} on the first factor",
                 step=m,
-                trace=trace,
+                states=tuple(states),
             )
-        steps.append(TraceStep(m, i, eb, pb, cur))
         states.append(cur)
     moved = cur.factors[1:] + (cur.factors[0],)
     image = Tensor(tuple(sigma_letterwise(f) for f in moved))
-    return image, FactorizationTrace(k, margin, tuple(states), tuple(steps))
+    return image, tuple(states)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +362,9 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
         xs = tuple(rng.choice(pools[l]) for l in shape)
         t = Tensor((u,) + xs)
         entry: dict = {"seed": trial_seed, "input": t.word()}
-        expected = r_composite(bk, t, 1)
+        expected = r_composite(bk, t)
         try:
-            got, trace = r_factorized(bk, t, k=k, margin=margin)
+            got, states = r_factorized(bk, t, k=k, margin=margin)
         except InapplicableError as err:
             entry.update(status="flagged", reason=err.reason, step=err.step)
             return entry
@@ -407,21 +376,21 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
         tk_u = t_def(bk, u, k)
         for j in range(1, spec.d + 1):
             i = spec.index_at(k + j)
-            left_prev = trace.states[j - 1].factors[0]
+            left_prev = states[j - 1].factors[0]
             if phi(bk, i, left_prev) != tk_u[j - 1]:
                 problems.append(
                     {"check": "phi-left", "expected": str(tk_u[j - 1]),
                      "got": str(phi(bk, i, left_prev)), "step": k + j}
                 )
-            if bk.eps(i, trace.states[j].factors[0]) != phi(bk, i, trace.states[j - 1]):
+            if bk.eps(i, states[j].factors[0]) != phi(bk, i, states[j - 1]):
                 problems.append(
                     {"check": "chain-eps",
-                     "expected": str(phi(bk, i, trace.states[j - 1])),
-                     "got": str(bk.eps(i, trace.states[j].factors[0])),
+                     "expected": str(phi(bk, i, states[j - 1])),
+                     "got": str(bk.eps(i, states[j].factors[0])),
                      "step": k + j}
                 )
         v_oracle = expected.factors[-1]
-        u_final = trace.states[-1].factors[0]
+        u_final = states[-1].factors[0]
         if t_def(bk, v_oracle, k) != t_def(bk, sigma_letterwise(u_final), k):
             problems.append(
                 {"check": "t-final",

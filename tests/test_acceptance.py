@@ -71,13 +71,13 @@ def test_criterion_01_worked_example_replay(a1_3):
     with criterion(1, "worked swap replay, offset 3", 1.0):
         spec = AlgebraSpec("A1", 3)
         t = parse_tensor(spec, "111223.344")
-        image, trace = r_factorized(a1_3, t, k=3, margin=1)
-        assert [s.color for s in trace.steps] == [0, 3, 2]
-        assert [s.state_after.word() for s in trace.steps] == [
+        image, states = r_factorized(a1_3, t, k=3, margin=1)
+        assert [spec.index_at(3 + j) for j in range(1, len(states))] == [0, 3, 2]
+        assert [st.word() for st in states[1:]] == [
             "112234.344", "112234.334", "112224.334",
         ]
         assert image.word() == "223.111344"
-        assert r_composite(a1_3, t, 1) == image
+        assert r_composite(a1_3, t) == image
 
 
 def test_criterion_02_negative_control(a1_3):
@@ -90,7 +90,7 @@ def test_criterion_02_negative_control(a1_3):
         with pytest.raises(InapplicableError) as exc:
             r_factorized(a1_3, t, k=3, margin=0)
         assert exc.value.reason == "orientation" and exc.value.step == 4
-        assert r_composite(a1_3, t, 1).word() == "223.11344"
+        assert r_composite(a1_3, t).word() == "223.11344"
 
 
 def test_criterion_03_line_evolution_figure(a1_1):

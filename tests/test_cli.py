@@ -54,6 +54,15 @@ def test_rmatrix_factorized_declines(capsys):
     assert "inapplicable (domain)" in err
 
 
+def test_rmatrix_factorized_decline_prints_steps_reached(capsys):
+    code, out, err = run(capsys, "rmatrix", "--algebra", "A1", "--rank", "3",
+                         "--lhs", "3344", "--rhs", "44",
+                         "--mode", "factorized", "--k", "1", "--margin", "0")
+    assert code == 1
+    assert out.splitlines() == ["3344.44", "S_2 -> 2244.44", "S_1 -> 1144.44"]
+    assert err.startswith("inapplicable (orientation): eps_0=2 <= phi_0=4 before step 4")
+
+
 def test_simulate_all_modes_rows(capsys):
     code, out, err = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
                          "--background-k", "1", "--state", ".".join(ROWS[0]),
@@ -156,8 +165,12 @@ def test_M_below_margin_exit_2(capsys, suite, args, margin):
     (("verify", "tmap"), "--l", "-1"),
     (("verify", "columns"), "--l", "0"),
     (("graph", "export"), "--l", "-2"),
+    (("simulate", "--state", "2.2"), "--M", "0"),
+    (("verify", "theorem", "--shape", "1"), "--M", "-5"),
+    (("verify", "columns"), "--M", "x"),
 ], ids=["jobs", "max-cap", "max-window", "theorem-trials", "corollary-trials",
-        "columns-trials", "tmap-l", "columns-l", "export-l"])
+        "columns-trials", "tmap-l", "columns-l", "export-l", "simulate-M",
+        "theorem-M", "columns-M"])
 def test_count_flags_must_be_positive(capsys, argv, flag, value):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--algebra", "A1", "--rank", "2", flag, value])
@@ -268,6 +281,21 @@ def test_graph_check_tampered_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "check", str(path))
     assert code == 1
     assert "admission failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "check", "{missing}/in.graph"),
+    ("simulate", "--algebra", "A1", "--rank", "1", "--state", "2.2",
+     "--crystal-graph", "{missing}/in.graph"),
+    ("verify", "tmap", "--algebra", "A1", "--rank", "1", "--l", "1",
+     "--emit-json", "{missing}/out.json"),
+], ids=["graph-check", "simulate-graph", "emit-json"])
+def test_file_error_exit_2(tmp_path, argv):
+    missing = tmp_path / "missing"
+    proc = run_python("-m", "crystal_ca", *(a.format(missing=missing) for a in argv))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_graph_export_without_backend(capsys):

@@ -96,24 +96,15 @@ def test_commutes_with_automorphism(a1_2):
 
 
 def test_composite_block_orders(a1_2):
+    # the one-factor composite is the elementary chain at positions 0, 1, 2
     rng = random.Random(5)
     pool1 = enumerate_crystal(A1_2, 1)
     pool2 = enumerate_crystal(A1_2, 2)
     for _ in range(25):
         t = Tensor((rng.choice(pool2), rng.choice(pool1), rng.choice(pool2),
                     rng.choice(pool1)))
-        for nleft in (1, 2, 3):
-            r_composite(a1_2, t, nleft)
-        assert r_composite(a1_2, t, 2) == apply_r_at(a1_2, apply_r_at(
-            a1_2, apply_r_at(a1_2, apply_r_at(a1_2, t, 1), 0), 2), 1)
-
-
-def test_composite_bad_split(a1_2):
-    t = parse_tensor(A1_2, "12.3")
-    with pytest.raises(ValueError):
-        r_composite(a1_2, t, 2)
-    with pytest.raises(ValueError):
-        r_composite(a1_2, t, 0)
+        assert r_composite(a1_2, t) == apply_r_at(a1_2, apply_r_at(
+            a1_2, apply_r_at(a1_2, t, 0), 1), 2)
 
 
 def test_yang_baxter_spot(a1_1):
@@ -123,18 +114,17 @@ def test_yang_baxter_spot(a1_1):
 
 def test_factorized_frozen_example(a1_3):
     t = parse_tensor(A1_3, "111223.344")
-    image, trace = r_factorized(a1_3, t, k=3, margin=1)
+    image, states = r_factorized(a1_3, t, k=3, margin=1)
     assert image.word() == "223.111344"
-    assert r_composite(a1_3, t, 1) == image
-    assert [s.m for s in trace.steps] == [4, 5, 6]
-    assert [s.color for s in trace.steps] == [0, 3, 2]
-    assert [s.state_after.word() for s in trace.steps] == [
+    assert r_composite(a1_3, t) == image
+    assert len(states) == A1_3.d + 1
+    assert [A1_3.index_at(3 + j) for j in range(1, len(states))] == [0, 3, 2]
+    assert [st.word() for st in states[1:]] == [
         "112234.344",
         "112234.334",
         "112224.334",
     ]
-    assert trace.states[0] == t
-    assert trace.states[-1].word() == "112224.334"
+    assert states[0] == t
 
 
 def test_factorized_negative_control(a1_3):
@@ -142,11 +132,13 @@ def test_factorized_negative_control(a1_3):
     with pytest.raises(InapplicableError) as exc:
         r_factorized(a1_3, t, k=3, margin=1)
     assert exc.value.reason == "domain"
+    assert exc.value.states == ()
     with pytest.raises(InapplicableError) as exc:
         r_factorized(a1_3, t, k=3, margin=0)
     assert exc.value.reason == "orientation"
     assert exc.value.step == 4
-    assert r_composite(a1_3, t, 1).word() == "223.11344"
+    assert exc.value.states == (t,)
+    assert r_composite(a1_3, t).word() == "223.11344"
 
 
 def test_factorized_needs_two_factors(a1_3):
