@@ -196,8 +196,11 @@ class Providers:
 
 def load_graph(path: str, admit: bool = True) -> GraphProvider:
     """Read, validate and (by default) run the admission suite on a graph file."""
-    with open(path, encoding="utf-8") as fh:
-        provider = _parse_graph(fh, where=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            provider = _parse_graph(fh, where=path)
+    except UnicodeDecodeError as err:
+        raise GraphError(f"{path}: not UTF-8 text: {err}") from None
     if admit:
         errors = admission_errors(provider)
         if errors:

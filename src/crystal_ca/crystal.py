@@ -72,13 +72,15 @@ class CrystalElement:
 
         Only for coordinates derived from a valid element by a rule that keeps
         every invariant those checks enforce: backend images, slot
-        permutations, and R-table entries (which are backend images too).
+        permutations, and R swaps (table entries are backend images too; the
+        A1 closed form maps B_l (x) B_m onto B_m (x) B_l).
         """
         el = object.__new__(cls)
-        fields = el.__dict__
-        fields["spec"] = spec
-        fields["l"] = l
-        fields["x"] = x
+        # object.__setattr__, not el.__dict__: the fields then read as fast
+        # as those of a validated element
+        object.__setattr__(el, "spec", spec)
+        object.__setattr__(el, "l", l)
+        object.__setattr__(el, "x", x)
         return el
 
     def get(self, a: str) -> int:
@@ -198,6 +200,7 @@ def parse_element(spec: AlgebraSpec, text: str, l: int | None = None) -> Crystal
 
 def parse_tensor(spec: AlgebraSpec, text: str, shape: tuple[int, ...] | None = None) -> Tensor:
     """Parse dot-separated factors, e.g. "1 2b.3.3b 1b.2"."""
+    _check_rank_printable(spec)  # a rank error belongs to no factor position
     parts = text.split(".")
     if shape is not None and len(shape) != len(parts):
         raise FormatError(f"expected {len(shape)} factors, got {len(parts)}")

@@ -1,9 +1,15 @@
 """The combinatorial R matrix, two independent ways.
 
 Oracle: the unique pairwise swap B_l (x) B_m -> B_m (x) B_l commuting with all
-raising/lowering operators and fixing the extreme pairs; materialized by
-breadth-first propagation from those pairs and memoized in memory per
-backend; its entries are backend images, so swaps return trusted elements.
+raising/lowering operators and fixing the extreme pairs.  Every swap is
+answered from one in-memory memo of element pairs, keyed per algebra,
+backend and level pair, that holds only the pairs actually swapped.  On a
+miss, the A1 family on its builtin coordinate rules takes the closed-form
+piecewise-linear R; every other backend (graph files) reads a swap table,
+materialized by breadth-first propagation from the extreme pairs and
+memoized per backend.  The table is also the test reference for the closed
+form.  Neither uses the Weyl chain, so the oracle stays independent of the
+factorized form.
 
 Factorized: a Weyl-operator chain followed by the block swap and the diagram
 automorphism, valid when the left factor carries a dominant letter.  Each
@@ -150,19 +156,72 @@ def _build_table(bk, l: int, m: int) -> dict:
 
 
 def clear_tables():
+    """Forget every swap table and every memoized swap."""
     with _LOCK:
         _TABLES.clear()
+        _PAIRS.clear()
+
+
+# ---------------------------------------------------------------------------
+# swaps
+
+# (spec, bk.identity, l, m) -> {(a.x, b.x): (b~, a~)}.  The key carries the
+# whole spec because the stored elements carry it.
+_PAIRS: dict[tuple, dict] = {}
+
+
+def _a1_swap(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """R(x (x) y) = y~ (x) x~ on A1 coordinates, in closed form.
+
+    Slot p holds letter p + 1 and indices run mod N = n + 1.  With
+    Q_i = min over k = 1..N of (sum_{j<k} x_{i+j} + sum_{j>k} y_{i+j}),
+    j in 1..N, the images are y~_i = y_i - Q_i + Q_{i-1} and
+    x~_i = x_i + Q_i - Q_{i-1} (the piecewise-linear R of Hatayama, Hikami,
+    Inoue, Kuniba, Takagi and Tokihiro, J. Math. Phys. 42 (2001)).
+    """
+    n = len(x)
+    total_y = sum(y)
+    q = []
+    for i in range(n):
+        sx, sy = 0, total_y - y[(i + 1) % n]
+        best = sy
+        for k in range(2, n + 1):
+            sx += x[(i + k - 1) % n]
+            sy -= y[(i + k) % n]
+            if sx + sy < best:
+                best = sx + sy
+        q.append(best)
+    return (tuple(y[i] - q[i] + q[i - 1] for i in range(n)),
+            tuple(x[i] + q[i] - q[i - 1] for i in range(n)))
 
 
 def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalElement, CrystalElement]:
-    """Swap one adjacent pair through the oracle table."""
-    table = get_table(bk, a.l, b.l)
-    try:
-        ym, yl = table[(a.x, b.x)]
-    except KeyError:
-        raise UnreachedElement(f"pair {a.word()}.{b.word()} missing from R table") from None
+    """Swap one adjacent pair: (b~, a~) with R(a (x) b) = b~ (x) a~.
+
+    Each pair is computed once per (algebra, backend, levels) and the stored
+    elements are returned from then on: by the closed form for A1 on the
+    builtin rules, and from the swap table for every other backend.
+    """
     spec = bk.spec
-    return CrystalElement._trusted(spec, b.l, ym), CrystalElement._trusted(spec, a.l, yl)
+    key = (spec, bk.identity, a.l, b.l)
+    memo = _PAIRS.get(key)
+    if memo is None:
+        with _LOCK:
+            memo = _PAIRS.setdefault(key, {})
+    xy = (a.x, b.x)
+    pair = memo.get(xy)
+    if pair is None:
+        if spec.family == "A1" and bk.identity == "builtin":
+            ym, yl = _a1_swap(a.x, b.x)
+        else:
+            try:
+                ym, yl = get_table(bk, a.l, b.l)[xy]
+            except KeyError:
+                raise UnreachedElement(
+                    f"pair {a.word()}.{b.word()} missing from R table") from None
+        pair = memo[xy] = (CrystalElement._trusted(spec, b.l, ym),
+                           CrystalElement._trusted(spec, a.l, yl))
+    return pair
 
 
 def apply_r_at(bk, t: Tensor, pos: int) -> Tensor:
@@ -350,8 +409,6 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
         M = auto_capacity(spec, margin)
     a_k = spec.letter_at(k)
     pools = {l: enumerate_crystal(spec, l) for l in set(shape)}
-    for l in set(shape):
-        get_table(bk, M, l)
 
     def run_trial(tnum: int) -> dict:
         trial_seed = seed + tnum

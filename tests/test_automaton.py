@@ -1,11 +1,15 @@
 """Box-ball line states, carrier and sweep evolutions, column transport."""
+import random
+
 import pytest
 
+from crystal_ca import rmatrix
 from crystal_ca import (
     AlgebraSpec,
     AutomatonState,
     CapExceeded,
     InapplicableError,
+    clear_tables,
     column_diagram_check,
     delta,
     dual_vertex_step,
@@ -13,6 +17,8 @@ from crystal_ca import (
     evolve_T_factorized,
     evolve_carrier,
     evolve_fine,
+    enumerate_crystal,
+    make_backend,
     parse_element,
     parse_state,
     vertex_step,
@@ -189,6 +195,24 @@ def test_evolve_T_limit_guard(a1_1):
         evolve_T(a1_1, s, M0=1, M_limit=1)
     out, M_used = evolve_T(a1_1, s, M0=2)
     assert M_used == 2 and out.window_start == 2
+
+
+def test_evolve_T_large_carrier_without_tables():
+    # rank 4, 40 sites of B_2: the carrier starts at M = the deviation, far
+    # past what a swap table of B_M (x) B_2 could enumerate
+    spec = AlgebraSpec("A1", 4)
+    bk = make_backend(spec)
+    rng = random.Random(40)
+    pool = enumerate_crystal(spec, 2)
+    s = AutomatonState(spec, 0, 0, tuple(rng.choice(pool) for _ in range(40)), (2,))
+    clear_tables()
+    try:
+        out, M = evolve_T(bk, s, M_limit=512)
+        assert M >= s.deviation() >= 64
+        assert out == evolve_T_factorized(bk, s, 1)
+        assert rmatrix._TABLES == {}
+    finally:
+        clear_tables()
 
 
 def test_column_diagram_frozen(a1_3):

@@ -283,6 +283,15 @@ def test_graph_check_tampered_exit_1(tmp_path, capsys):
     assert "admission failed" in err
 
 
+def test_graph_check_not_utf8_exit_1(tmp_path, capsys):
+    # undecodable bytes are a malformed graph like any other, named by path
+    path = tmp_path / "binary.graph"
+    path.write_bytes(b"A1 1 1\n\xb0\xff\x00\x81 0 2\n")
+    code, out, err = run(capsys, "graph", "check", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{path}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("graph", "check", "{missing}/in.graph"),
     ("simulate", "--algebra", "A1", "--rank", "1", "--state", "2.2",

@@ -121,6 +121,16 @@ def test_parse_tensor():
         parse_tensor(A13, "11.22", shape=(2, 2, 2))
 
 
+def test_parse_tensor_error_positions():
+    # a rank error belongs to no factor; a bad letter keeps its position
+    with pytest.raises(FormatError) as err:
+        parse_tensor(AlgebraSpec("A1", 9), "2.2")
+    assert err.value.pos is None and "(position" not in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse_tensor(A13, "11.2x3")
+    assert err.value.pos == 4 and str(err.value).endswith("(position 4)")
+
+
 def test_tensor_validation():
     a = parse_element(A13, "12")
     b = parse_element(A2ODD3, "12")

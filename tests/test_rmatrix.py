@@ -1,10 +1,12 @@
 """Swap tables, the factorized swap, side conditions, the verification suite."""
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystal_ca import rmatrix
 from crystal_ca import (
     AlgebraSpec,
     CrystalElement,
@@ -35,6 +37,7 @@ from crystal_ca import (
     verify_theorem,
     yang_baxter_check,
 )
+from crystal_ca.rmatrix import _build_table
 
 A1_1 = AlgebraSpec("A1", 1)
 A1_2 = AlgebraSpec("A1", 2)
@@ -52,6 +55,46 @@ def test_table_bijection_and_inverse(a1_2):
             assert back == (u, v)
             for r in (v2, u2):
                 assert CrystalElement(r.spec, r.l, r.x) == r
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_closed_form_matches_table(rank):
+    # A1 swaps on the builtin rules come from the closed form, and build no
+    # table; the propagated table is the reference, entry by entry
+    spec = AlgebraSpec("A1", rank)
+    bk = make_backend(spec)
+    levels = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)]
+    if rank == 3:
+        levels += [(17, 1), (17, 2), (17, 3)]
+    clear_tables()
+    try:
+        for l, m in levels:
+            table = _build_table(bk, l, m)
+            for a in enumerate_crystal(spec, l):
+                for b in enumerate_crystal(spec, m):
+                    b2, a2 = r_elementary(bk, a, b)
+                    assert (b2.x, a2.x) == table[(a.x, b.x)]
+                    assert (b2.l, a2.l) == (m, l)
+        assert rmatrix._TABLES == {}
+    finally:
+        clear_tables()
+
+
+def test_swaps_carry_the_callers_brace():
+    # stored pairs carry their spec, so one brace's pairs must never be
+    # handed to a run under the other brace in the same process
+    clear_tables()
+    try:
+        for brace in ("upper", "lower", "upper"):
+            spec = AlgebraSpec("A1", 2, brace)
+            bk = make_backend(spec)
+            for a in enumerate_crystal(spec, 2):
+                for b in enumerate_crystal(spec, 1):
+                    for el in r_elementary(bk, a, b):
+                        assert el.spec == spec
+                        assert CrystalElement(spec, el.l, el.x) == el
+    finally:
+        clear_tables()
 
 
 def test_anchors_swap(a1_2):
@@ -199,6 +242,17 @@ def test_verify_theorem_jobs_deterministic(a1_2):
     one = verify_theorem(a1_2, (2, 1), k=2, trials=24, seed=3, jobs=1)
     two = verify_theorem(a1_2, (2, 1), k=2, trials=24, seed=3, jobs=2)
     assert one == two
+    # threads share the swap memo: from cold, with more workers than cores
+    # and frequent switches, racing misses must still give the same report
+    interval = sys.getswitchinterval()
+    clear_tables()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = verify_theorem(a1_2, (2, 1), k=2, trials=24, seed=3, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+        clear_tables()
+    assert four == one
 
 
 def test_unreached_pairs_detected():
@@ -224,6 +278,14 @@ def test_table_cache_keyed_per_backend(tmp_path, monkeypatch, a1_1, l, m):
     monkeypatch.setenv("CRYSTAL_CA_CACHE_DIR", str(cache))
     clear_tables()
     try:
+        # swaps share one memo, keyed per backend too: with the builtin pairs
+        # warm, the rewired backend still reads its own (conflicting) table
+        a, b = enumerate_crystal(A1_1, l)[0], enumerate_crystal(A1_1, m)[-1]
+        pair = r_elementary(a1_1, a, b)
+        assert r_elementary(a1_1, a, b) is pair
+        with pytest.raises(RMatrixError):
+            r_elementary(rewired, a, b)
+        assert r_elementary(a1_1, a, b) is pair
         builtin = get_table(a1_1, l, m)
         with pytest.raises(RMatrixError):
             get_table(rewired, l, m)
