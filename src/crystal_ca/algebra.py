@@ -57,6 +57,16 @@ class AlgebraSpec:
             )
         if self.brace not in ("upper", "lower"):
             raise ValueError(f"brace must be 'upper' or 'lower', got {self.brace!r}")
+        # specs key every cache on the hot paths: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.family, self.rank, self.brace)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the fields: a stored hash is only valid in the process
+        # (and PYTHONHASHSEED) that computed it
+        return AlgebraSpec, (self.family, self.rank, self.brace)
 
     # -- index set and letters -------------------------------------------------
 

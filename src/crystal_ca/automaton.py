@@ -17,7 +17,8 @@ site strictly absorbs it, so finitely many extra sites suffice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import AlgebraSpec
 from .crystal import (
@@ -30,15 +31,21 @@ from .crystal import (
     t_def,
     weyl_s,
 )
-from .rmatrix import InapplicableError, r_elementary, r_factorized
+from .rmatrix import r_elementary, r_factorized
 
 _SWEEP_LIMIT = 100_000
 
 
-def _minimal_period(pat: tuple[int, ...]) -> tuple[int, ...]:
+@lru_cache(maxsize=1024)
+def _capacity_pattern(pattern: tuple) -> tuple[int, ...]:
+    """A state's capacity pattern, checked and cut to its minimal period once."""
+    pat = tuple(int(c) for c in pattern)
     for p in range(1, len(pat)):
         if len(pat) % p == 0 and pat == pat[p:] + pat[:p]:
-            return pat[:p]
+            pat = pat[:p]
+            break
+    if not pat or any(c < 1 for c in pat):
+        raise ValueError(f"capacities must be positive, got {pat}")
     return pat
 
 
@@ -53,32 +60,31 @@ class AutomatonState:
     pattern: tuple[int, ...]
 
     def __post_init__(self):
-        pat = _minimal_period(tuple(int(c) for c in self.pattern))
-        if not pat or any(c < 1 for c in pat):
-            raise ValueError(f"capacities must be positive, got {pat}")
+        pat = _capacity_pattern(tuple(self.pattern))
         object.__setattr__(self, "pattern", pat)
-        for p, b in enumerate(self.window):
-            want = pat[(self.window_start + p) % len(pat)]
-            if b.l != want:
+        spec, start, win = self.spec, self.window_start, self.window
+        period, n = len(pat), len(win)
+        phase = start % period
+        caps = pat[phase:] + pat * (n // period + 1)  # site p holds a B_caps[p]
+        for p, b in enumerate(win):
+            if b.l != caps[p]:
                 raise ValueError(
-                    f"site {self.window_start + p} holds a B_{b.l} element, "
-                    f"capacity pattern demands B_{want}"
+                    f"site {start + p} holds a B_{b.l} element, "
+                    f"capacity pattern demands B_{caps[p]}"
                 )
-            if b.spec != self.spec:
+            if b.spec is not spec and b.spec != spec:
                 raise ValueError("window element from a different algebra")
-        # trim background sites so equal configurations compare equal
-        a = self.spec.letter_at(self.k)
-        win = list(self.window)
-        start = self.window_start
-        while win and win[0] == delta(self.spec, win[0].l, a):
-            win.pop(0)
-            start += 1
-        while win and win[-1] == delta(self.spec, win[-1].l, a):
-            win.pop()
-        if not win:
-            start = 0
-        object.__setattr__(self, "window", tuple(win))
-        object.__setattr__(self, "window_start", start)
+        # trim background sites so equal configurations compare equal; the
+        # checks above leave only the coordinates to compare, phase by phase
+        a = spec.letter_at(self.k)
+        rest = [delta(spec, c, a).x for c in caps[:period]]
+        lo, hi = 0, n
+        while lo < hi and win[lo].x == rest[lo % period]:
+            lo += 1
+        while hi > lo and win[hi - 1].x == rest[(hi - 1) % period]:
+            hi -= 1
+        object.__setattr__(self, "window", tuple(win[lo:hi]))
+        object.__setattr__(self, "window_start", start + lo if lo < hi else 0)
 
     @property
     def background_letter(self) -> str:
@@ -98,12 +104,11 @@ class AutomatonState:
 
     def _key(self):
         return (
-            self.spec.family,
-            self.spec.rank,
+            self.spec,
             self.background_letter,
             self.pattern,
             self.window_start if self.window else 0,
-            tuple(b.x for b in self.window),
+            tuple([b.x for b in self.window]),
         )
 
     def __eq__(self, other):
@@ -114,8 +119,10 @@ class AutomatonState:
 
     def deviation(self) -> int:
         """Total letter weight sitting off the background letter."""
-        a = self.background_letter
-        return sum(b.l - b.get(a) for b in self.window)
+        # a_letters leaves out "0", so the background letter is never a
+        # slack letter and always has a stored slot
+        p = self.spec.slots.index[self.background_letter]
+        return sum([b.l - b.x[p] for b in self.window])
 
     def weight_profile(self) -> dict[str, int]:
         """Per-letter surplus relative to the all-background line."""
@@ -228,22 +235,23 @@ def _sweep_lower(state_like, bk, window, start, color, bg_letter):
 def evolve_carrier(bk, state: AutomatonState, M: int,
                    extra_budget: int | None = None):
     """One carrier pass; returns the new state and the carrier value trace."""
-    spec = state.spec
+    spec, pat = state.spec, state.pattern
     a = state.background_letter
     rest = delta(spec, M, a)
+    backs = [delta(spec, c, a) for c in pat]  # the background site per phase
+    period = len(pat)
     car = rest
     out = []
     trace = [car]
-    j = state.window_start
     for b in state.window:
         b2, car = r_elementary(bk, car, b)
         out.append(b2)
         trace.append(car)
-        j += 1
+    j = state.window_start + len(state.window)
     budget = extra_budget if extra_budget is not None else 4 * state.deviation() + 16
     used = 0
-    while car != rest:
-        b2, car = r_elementary(bk, car, state.background(j))
+    while car.x != rest.x:  # the carrier is always a B_M element of spec
+        b2, car = r_elementary(bk, car, backs[j % period])
         out.append(b2)
         trace.append(car)
         j += 1
@@ -253,17 +261,19 @@ def evolve_carrier(bk, state: AutomatonState, M: int,
                 f"carrier of capacity {M} did not return to rest within "
                 f"{budget} extra sites"
             )
-    new = AutomatonState(spec, state.k, state.window_start, tuple(out), state.pattern)
+    new = AutomatonState(spec, state.k, state.window_start, tuple(out), pat)
     return new, trace
 
 
 def evolve_T(bk, state: AutomatonState, M0: int | None = None,
              M_limit: int = 512):
     """The stable large-carrier evolution: double M until the result settles."""
-    M = M0 if M0 is not None else max(2, state.deviation())
-    prev, _ = evolve_carrier(bk, state, M)
+    dev = state.deviation()
+    budget = 4 * dev + 16  # each pass's own default, computed once
+    M = M0 if M0 is not None else max(2, dev)
+    prev, _ = evolve_carrier(bk, state, M, budget)
     while M <= M_limit:
-        cur, _ = evolve_carrier(bk, state, 2 * M)
+        cur, _ = evolve_carrier(bk, state, 2 * M, budget)
         if cur == prev:
             return prev, M
         prev, M = cur, 2 * M

@@ -143,11 +143,13 @@ class GraphProvider:
 
 @dataclass
 class Providers:
-    """Per-capacity dispatch of the four structure queries.
+    """Per-capacity dispatch of the structure queries.
 
     identity names the structure source ("builtin", or a digest of the graph
     files' arrows by capacity); caches of derived data such as R tables key
-    on it, so one source's answers are never handed to another.
+    on it, so one source's answers are never handed to another.  Without
+    graph files the builtin rules answer every capacity, so the queries are
+    bound to them directly and skip provider_for.
     """
 
     spec: AlgebraSpec
@@ -160,6 +162,10 @@ class Providers:
             self.identity = hashlib.sha256(blob.encode()).hexdigest()
         else:
             self.identity = "builtin"
+            b = self._builtin
+            if b is not None:
+                self.eps, self.phi, self.e, self.f, self.power = (
+                    b.eps, b.phi, b.e, b.f, b.power)
 
     def provider_for(self, l: int):
         if l in self.graphs:

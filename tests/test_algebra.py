@@ -1,4 +1,10 @@
 """Family data: index sets, diagram automorphism, translation sequences."""
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from crystal_ca import AlgebraSpec, bar, is_barred
@@ -184,3 +190,43 @@ def test_a_letters_exclude_special():
 
 def test_families_constant():
     assert FAMILIES == ("A1", "A2odd", "A2even", "B1", "C1", "D1", "D2")
+
+
+def test_spec_hash_contract():
+    a, b = AlgebraSpec("A2odd", 3), AlgebraSpec("A2odd", 3)
+    assert a == b and hash(a) == hash(b)
+    assert a != AlgebraSpec("A2odd", 3, "lower")
+    c = copy.copy(a)
+    assert c == a and hash(c) == hash(a)
+
+
+# Writes a pickled spec to argv[1], or loads it from there and prints what a
+# dict keyed on a freshly built spec holds for it.
+PICKLE_SCRIPT = """
+import pickle, sys
+from crystal_ca import AlgebraSpec
+fresh = AlgebraSpec("C1", 2, "lower")
+if sys.argv[2] == "write":
+    with open(sys.argv[1], "wb") as fh:
+        pickle.dump(fresh, fh)
+else:
+    with open(sys.argv[1], "rb") as fh:
+        loaded = pickle.load(fh)
+    print(loaded == fresh, {fresh: 1}.get(loaded))
+"""
+
+
+def test_spec_pickle_across_hash_seeds(tmp_path):
+    # the hash a spec stores depends on the string-hash seed of the process
+    # that built it, so a pickle must not carry it into another process
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = str(tmp_path / "spec.pickle")
+    out = []
+    for seed, mode in (("1", "write"), ("2", "read")):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, path, mode],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[1] == "True 1\n"

@@ -18,6 +18,7 @@ from crystal_ca import (
     evolve_carrier,
     evolve_fine,
     enumerate_crystal,
+    from_counts,
     make_backend,
     parse_element,
     parse_state,
@@ -51,6 +52,54 @@ def test_state_normalization_and_equality():
     t = parse_state(A11, 1, dotted("22112"), window_start=3)
     assert s == t and hash(s) == hash(t)
     assert s != parse_state(A11, 1, dotted("22112"), window_start=4)
+
+
+def test_states_of_different_braces_differ():
+    upper = parse_state(AlgebraSpec("A2odd", 3, "upper"), 0, "1.2")
+    lower = parse_state(AlgebraSpec("A2odd", 3, "lower"), 0, "1.2")
+    assert upper != lower and len({upper, lower}) == 2
+
+
+@pytest.mark.parametrize("pattern", [(2, 1), (1, 2, 3)])
+@pytest.mark.parametrize("start", [-3, 5])
+def test_trim_against_every_phase(pattern, start):
+    spec, k = AlgebraSpec("A1", 2), 1
+    a = spec.letter_at(k)
+    other = next(c for c in spec.coord_letters if c != a)
+    period = len(pattern)
+
+    def site(j, off):
+        cap = pattern[j % period]
+        if not off:
+            return delta(spec, cap, a)
+        return from_counts(spec, {a: cap - 1, other: 1}, cap)
+
+    # a full period of background on each side, so every capacity is cut;
+    # the background site inside the core stays
+    core = [True, False, True]
+    offs = [False] * (period + 1) + core + [False] * (period + 1)
+    sites = tuple(site(start + p, off) for p, off in enumerate(offs))
+    s = AutomatonState(spec, k, start, sites, pattern)
+    cut = period + 1
+    assert s.window_start == start + cut
+    assert s.window == sites[cut:cut + len(core)]
+
+    rest = tuple(site(start + p, False) for p in range(len(offs)))
+    bare = AutomatonState(spec, k, start, rest, pattern)
+    assert bare.window == () and bare.window_start == 0
+    assert bare == AutomatonState(spec, k, 0, (), pattern)
+
+
+@pytest.mark.parametrize("family, rank, counts", [
+    ("B1", 3, [{"1": 1, "0": 1}, {"3b": 2}, {"3b": 1, "2": 1}, {"0": 1, "3b": 1}]),
+    ("C1", 2, [{"0": 1}, {"1": 1, "2b": 1}, {"2b": 2}, {"1": 2}]),
+])
+def test_deviation_reads_the_background_slot(family, rank, counts):
+    spec = AlgebraSpec(family, rank)
+    for k in range(spec.d):
+        s = AutomatonState(spec, k, 0, tuple(from_counts(spec, c, 2) for c in counts), (2,))
+        a = s.background_letter
+        assert s.deviation() == sum(b.l - b.get(a) for b in s.window)
 
 
 def test_pattern_minimal_period():
@@ -182,6 +231,22 @@ def test_mixed_capacities(a1_1):
     assert evolve_fine(a1_1, s, s.k + A11.d) == stable
     assert evolve_T_factorized(a1_1, stable, -1) == s
     assert stable.deviation() == s.deviation()
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("pattern", [(2, 1), (1, 2, 3)])
+def test_carrier_matches_sweeps(rank, pattern):
+    spec = AlgebraSpec("A1", rank)
+    bk = make_backend(spec)
+    rng = random.Random(rank * 10 + len(pattern))
+    pools = {c: enumerate_crystal(spec, c) for c in set(pattern)}
+    for k in range(spec.d * spec.sigma_order):  # every background letter
+        for start in (0, 1):
+            sites = tuple(rng.choice(pools[pattern[j % len(pattern)]])
+                          for j in range(start, start + 7))
+            s = AutomatonState(spec, k, start, sites, pattern)
+            stepped, _ = evolve_T(bk, s)
+            assert stepped == evolve_T_factorized(bk, s, 1), (k, start, s)
 
 
 def test_carrier_budget_guard(a1_1):

@@ -10,6 +10,7 @@ from crystal_ca import (
     CrystalElement,
     GraphError,
     GraphProvider,
+    Providers,
     admission_errors,
     delta,
     enumerate_crystal,
@@ -184,12 +185,49 @@ def test_make_backend_duplicate_level(tmp_path):
 
 
 def test_backend_missing_without_graphs():
-    spec = AlgebraSpec("A2odd", 3)
-    bk = make_backend(spec)
-    assert not bk.covers(1)
-    el = delta(spec, 1, "1")
-    with pytest.raises(BackendMissing):
-        bk.eps(1, el)
+    for family, letter in (("A2odd", "1"), ("B1", "3b")):
+        spec = AlgebraSpec(family, 3)
+        bk = make_backend(spec)
+        assert not bk.covers(1)
+        el = delta(spec, 1, letter)
+        with pytest.raises(BackendMissing):
+            bk.eps(1, el)
+
+
+def test_builtin_only_queries_skip_dispatch(monkeypatch):
+    bk = make_backend(A1_2)
+    builtin = BuiltinA1(2)
+
+    def no_dispatch(self, l):
+        raise AssertionError("builtin-only queries went through provider_for")
+
+    monkeypatch.setattr(Providers, "provider_for", no_dispatch)
+    for el in enumerate_crystal(A1_2, 2):
+        for i in A1_2.index_set:
+            assert bk.eps(i, el) == builtin.eps(i, el)
+            assert bk.phi(i, el) == builtin.phi(i, el)
+            assert bk.e(i, el) == builtin.e(i, el)
+            assert bk.f(i, el) == builtin.f(i, el)
+            for n in (-2, 2):
+                assert bk.power(i, el, n) == builtin.power(i, el, n)
+
+
+def test_graph_backed_queries_dispatch_per_level(tmp_path, monkeypatch):
+    path = write_graph(tmp_path, "A1 1 1\n1 1 2\n2 0 1\n")
+    bk = make_backend(A1_1, (path,))
+    seen = []
+    dispatch = Providers.provider_for
+
+    def spy(self, l):
+        seen.append(l)
+        return dispatch(self, l)
+
+    monkeypatch.setattr(Providers, "provider_for", spy)
+    one, three = delta(A1_1, 1, "1"), delta(A1_1, 3, "1")
+    assert bk.f(1, one) == parse_element(A1_1, "2")
+    assert bk.power(1, three, 2) == parse_element(A1_1, "122")
+    assert bk.eps(1, one) == 0 and bk.phi(0, three) == 0
+    assert seen == [1, 3, 1, 3]
 
 
 def test_builtin_covers_every_level(a1_1):
