@@ -5,7 +5,8 @@ the window every site is the background element delta[a_k] for the state's
 offset k.  Time evolution comes in three interchangeable forms:
 
 * carrier: thread a large auxiliary factor through the line by elementary
-  R swaps until it returns to its rest value;
+  R swaps until it returns to its rest value (on A1, one of infinite
+  capacity);
 * factorized: a chain of global Weyl operators realized as left-to-right
   (raising) or right-to-left (lowering) vertex sweeps, then the diagram
   automorphism letterwise;
@@ -31,7 +32,13 @@ from .crystal import (
     t_def,
     weyl_s,
 )
-from .rmatrix import r_elementary, r_factorized
+from .rmatrix import (
+    has_closed_form,
+    infinite_memo,
+    r_elementary,
+    r_factorized,
+    r_infinite,
+)
 
 _SWEEP_LIMIT = 100_000
 
@@ -265,11 +272,61 @@ def evolve_carrier(bk, state: AutomatonState, M: int,
     return new, trace
 
 
+def _evolve_infinite(state: AutomatonState, budget: int) -> AutomatonState:
+    """One pass of the A1 carrier of infinite capacity in the background
+    letter's slot; it is at rest when every other slot is 0."""
+    spec, pat = state.spec, state.pattern
+    a = state.background_letter
+    p = spec.slots.index[a]
+    get = infinite_memo(spec, p).get
+    backs = [delta(spec, c, a) for c in pat]  # the background site per phase
+    period = len(pat)
+    rest = car = (0,) * len(backs[0].x)
+    out = []
+    for b in state.window:
+        # a stored pair is a 2-tuple, never falsy
+        b2, car = get((car, b.x)) or r_infinite(spec, p, car, b)
+        out.append(b2)
+    j = state.window_start + len(state.window)
+    used = 0
+    while car != rest:
+        b = backs[j % period]
+        b2, car = get((car, b.x)) or r_infinite(spec, p, car, b)
+        out.append(b2)
+        j += 1
+        used += 1
+        if used > budget:
+            raise CapExceeded(
+                f"infinite carrier did not return to rest within {budget} "
+                f"extra sites"
+            )
+    return AutomatonState(spec, state.k, state.window_start, tuple(out), pat)
+
+
 def evolve_T(bk, state: AutomatonState, M0: int | None = None,
              M_limit: int = 512):
-    """The stable large-carrier evolution: double M until the result settles."""
+    """The large-carrier evolution T_infinity; returns (new state, M).
+
+    With M0 None on the builtin A1 rules, one pass of a carrier of infinite
+    capacity gives the step exactly, M_limit does not apply, and M is
+    dev + max(pattern), dev the deviation: evolve_carrier at any capacity
+    M or more gives the same step.  The reason: the carrier's load (its
+    letters off the background letter a) never exceeds dev, since the
+    sites it has passed hand it at most their deviation.  So at capacity M
+    the carrier holds a at least M - dev times, and every term of a Q_i of
+    the closed-form R that adds those letters is at least M - dev, at least
+    the site's capacity, at least the k = 1 term, which holds none of
+    them.  Dropping those terms leaves every Q_i, and so every swap, as
+    the infinite carrier has it.
+
+    Everywhere else M doubles from M0 (default max(2, dev)) until passes at
+    M and 2M agree, and M is the smaller; CapExceeded is raised when no
+    pass up to capacity M_limit settles.
+    """
     dev = state.deviation()
     budget = 4 * dev + 16  # each pass's own default, computed once
+    if M0 is None and has_closed_form(bk):
+        return _evolve_infinite(state, budget), dev + max(state.pattern)
     M = M0 if M0 is not None else max(2, dev)
     prev, _ = evolve_carrier(bk, state, M, budget)
     while M <= M_limit:

@@ -9,7 +9,8 @@ piecewise-linear R; every other backend (graph files) reads a swap table,
 materialized by breadth-first propagation from the extreme pairs and
 memoized per backend.  The table is also the test reference for the closed
 form.  Neither uses the Weyl chain, so the oracle stays independent of the
-factorized form.
+factorized form.  The closed form also swaps a carrier of infinite capacity
+past a site (r_infinite), which gives the automaton's T_infinity in one pass.
 
 Factorized: a Weyl-operator chain followed by the block swap and the diagram
 automorphism, valid when the left factor carries a dominant letter.  Each
@@ -160,6 +161,7 @@ def clear_tables():
     with _LOCK:
         _TABLES.clear()
         _PAIRS.clear()
+        _INF_PAIRS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +171,31 @@ def clear_tables():
 # whole spec because the stored elements carry it.
 _PAIRS: dict[tuple, dict] = {}
 
+# (spec, p) -> {(carrier x, b.x): (b~, carrier x~)} for the A1 carrier of
+# infinite capacity in slot p; its slot p reads 0.  Only the builtin rules
+# reach it, so the key needs no backend identity.
+_INF_PAIRS: dict[tuple, dict] = {}
 
-def _a1_swap(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+
+def has_closed_form(bk) -> bool:
+    """Whether swaps on this backend come from the A1 closed form."""
+    return bk.spec.family == "A1" and bk.identity == "builtin"
+
+
+def _a1_swap(x: tuple[int, ...], y: tuple[int, ...],
+             p: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """R(x (x) y) = y~ (x) x~ on A1 coordinates, in closed form.
 
-    Slot p holds letter p + 1 and indices run mod N = n + 1.  With
+    Slot s holds letter s + 1 and indices run mod N = n + 1.  With
     Q_i = min over k = 1..N of (sum_{j<k} x_{i+j} + sum_{j>k} y_{i+j}),
     j in 1..N, the images are y~_i = y_i - Q_i + Q_{i-1} and
     x~_i = x_i + Q_i - Q_{i-1} (the piecewise-linear R of Hatayama, Hikami,
     Inoue, Kuniba, Takagi and Tokihiro, J. Math. Phys. 42 (2001)).
+
+    With p given, x_p is infinite and x[p] is not read.  Each Q_i then
+    stops before the first term that adds x_p, since that term and every
+    later one is infinite; the k = 1 term holds no x, so Q_i stays finite
+    and y~ is exact.  x~_p is infinite too and comes back as 0.
     """
     n = len(x)
     total_y = sum(y)
@@ -186,13 +204,37 @@ def _a1_swap(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], t
         sx, sy = 0, total_y - y[(i + 1) % n]
         best = sy
         for k in range(2, n + 1):
-            sx += x[(i + k - 1) % n]
+            j = (i + k - 1) % n
+            if j == p:
+                break
+            sx += x[j]
             sy -= y[(i + k) % n]
             if sx + sy < best:
                 best = sx + sy
         q.append(best)
     return (tuple(y[i] - q[i] + q[i - 1] for i in range(n)),
-            tuple(x[i] + q[i] - q[i - 1] for i in range(n)))
+            tuple(0 if i == p else x[i] + q[i] - q[i - 1] for i in range(n)))
+
+
+def infinite_memo(spec: AlgebraSpec, p: int) -> dict:
+    """The stored swaps of the A1 carrier of infinite capacity in slot p,
+    {(carrier x, b.x): (b~, carrier x~)}; r_infinite fills it."""
+    key = (spec, p)
+    memo = _INF_PAIRS.get(key)
+    if memo is None:
+        with _LOCK:
+            memo = _INF_PAIRS.setdefault(key, {})
+    return memo
+
+
+def r_infinite(spec: AlgebraSpec, p: int, car: tuple[int, ...],
+               b: CrystalElement) -> tuple[CrystalElement, tuple[int, ...]]:
+    """Swap the infinite carrier car (slot p read as infinite) past site b
+    of A1 by the closed form, and store the pair in infinite_memo."""
+    y, car2 = _a1_swap(car, b.x, p)
+    pair = infinite_memo(spec, p)[(car, b.x)] = (
+        CrystalElement._trusted(spec, b.l, y), car2)
+    return pair
 
 
 def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalElement, CrystalElement]:
@@ -211,7 +253,7 @@ def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalEleme
     xy = (a.x, b.x)
     pair = memo.get(xy)
     if pair is None:
-        if spec.family == "A1" and bk.identity == "builtin":
+        if has_closed_form(bk):
             ym, yl = _a1_swap(a.x, b.x)
         else:
             try:

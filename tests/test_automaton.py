@@ -262,6 +262,41 @@ def test_evolve_T_limit_guard(a1_1):
     assert M_used == 2 and out.window_start == 2
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_infinite_carrier_matches_finite_paths(rank):
+    # the one pass of evolve_T on A1 against the M-doubling it replaces, the
+    # factorized step, and the finite carrier at the capacity it returns
+    spec = AlgebraSpec("A1", rank)
+    bk = make_backend(spec)
+    rng = random.Random(400 + rank)
+    for pattern in [(1,), (2,), (3,), (2, 1), (1, 2, 3)]:
+        pools = {c: enumerate_crystal(spec, c) for c in set(pattern)}
+        for k in range(spec.d * spec.sigma_order):  # every background letter
+            for start in (-3, 0, 1):
+                sites = tuple(rng.choice(pools[pattern[j % len(pattern)]])
+                              for j in range(start, start + rng.randint(1, 8)))
+                s = AutomatonState(spec, k, start, sites, pattern)
+                dev = s.deviation()
+                one, M = evolve_T(bk, s)
+                assert M == dev + max(pattern)
+                doubled, _ = evolve_T(bk, s, M0=max(2, dev), M_limit=1 << 16)
+                assert one == doubled, (k, start, s)
+                assert one == evolve_T_factorized(bk, s, 1), (k, start, s)
+                assert one == evolve_carrier(bk, s, M)[0], (k, start, s)
+
+
+def test_evolve_T_past_the_capacity_limit(a1_1):
+    # a soliton of deviation 600: the one pass needs no capacity limit, while
+    # the doubling from M0 gives up at M_limit = 512
+    s = parse_state(A11, 1, dotted("2" * 600))
+    out, M = evolve_T(a1_1, s)
+    assert M == 601
+    assert out.window_start == s.window_start + 600 and out.window == s.window
+    assert out == evolve_T_factorized(a1_1, s, 1)
+    with pytest.raises(CapExceeded):
+        evolve_T(a1_1, s, M0=2)
+
+
 def test_evolve_T_large_carrier_without_tables():
     # rank 4, 40 sites of B_2: the carrier starts at M = the deviation, far
     # past what a swap table of B_M (x) B_2 could enumerate

@@ -1,4 +1,5 @@
 """Swap tables, the factorized swap, side conditions, the verification suite."""
+import itertools
 import random
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystal_ca import rmatrix
+from crystal_ca import automaton, rmatrix
 from crystal_ca import (
     AlgebraSpec,
     CrystalElement,
@@ -23,11 +24,13 @@ from crystal_ca import (
     delta,
     domain_gap,
     enumerate_crystal,
+    evolve_T,
     get_table,
     in_domain,
     load_graph,
     make_backend,
     parse_element,
+    parse_state,
     parse_tensor,
     r_composite,
     r_elementary,
@@ -76,6 +79,68 @@ def test_closed_form_matches_table(rank):
                     assert (b2.x, a2.x) == table[(a.x, b.x)]
                     assert (b2.l, a2.l) == (m, l)
         assert rmatrix._TABLES == {}
+    finally:
+        clear_tables()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_infinite_slot_matches_large_finite_slot(rank):
+    # an infinite slot p swaps like slot p holding l + load, the site's
+    # capacity plus the carrier's letters off p: every Q term that adds x_p
+    # is then at least the k = 1 term
+    spec = AlgebraSpec("A1", rank)
+    n = rank + 1
+    for l in (1, 2, 3):
+        for b in enumerate_crystal(spec, l):
+            for car in itertools.product(range(4), repeat=n):
+                load = sum(car)
+                if load > 3:
+                    continue
+                for p in (q for q in range(n) if car[q] == 0):
+                    big = car[:p] + (l + load,) + car[p + 1:]
+                    y, x2 = rmatrix._a1_swap(big, b.x)
+                    assert rmatrix._a1_swap(car, b.x, p) == (
+                        y, x2[:p] + (0,) + x2[p + 1:])
+
+
+def test_clear_tables_forgets_infinite_swaps():
+    clear_tables()
+    try:
+        b = parse_element(A1_2, "23")
+        pair = rmatrix.r_infinite(A1_2, 0, (0, 1, 0), b)
+        # the carrier keeps its 2, takes the site's 3 and leaves a 1
+        assert pair == (parse_element(A1_2, "12"), (0, 1, 1))
+        assert rmatrix.infinite_memo(A1_2, 0)[((0, 1, 0), b.x)] is pair
+        clear_tables()
+        assert rmatrix._INF_PAIRS == {}
+    finally:
+        clear_tables()
+
+
+def test_evolve_T_infinite_pass_on_builtin_only(tmp_path, monkeypatch, a1_1):
+    # a graph-backed A1 backend has no closed form: evolve_T keeps doubling
+    # finite carrier passes there, and on the builtin rules unless M0 is given
+    path = tmp_path / "b1.graph"
+    path.write_text("A1 1 1\n1 1 2\n2 0 1\n")
+    graph = make_backend(A1_1, (str(path),))
+    passes = []
+    finite = automaton.evolve_carrier
+
+    def counted(bk, state, M, *args):
+        passes.append(M)
+        return finite(bk, state, M, *args)
+
+    monkeypatch.setattr(automaton, "evolve_carrier", counted)
+    s = parse_state(A1_1, 1, "2.2.1.2")
+    clear_tables()
+    try:
+        by_graph, M = evolve_T(graph, s)
+        assert len(passes) >= 2 and passes[0] == M == s.deviation()
+        done = len(passes)
+        assert evolve_T(a1_1, s) == (by_graph, s.deviation() + 1)
+        assert len(passes) == done
+        assert evolve_T(a1_1, s, M0=3) == (by_graph, 3)
+        assert len(passes) > done
     finally:
         clear_tables()
 
