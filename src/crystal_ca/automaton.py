@@ -239,9 +239,11 @@ def _sweep_lower(state_like, bk, window, start, color, bg_letter):
 # time evolution
 
 
-def evolve_carrier(bk, state: AutomatonState, M: int,
-                   extra_budget: int | None = None):
-    """One carrier pass; returns the new state and the carrier value trace."""
+def evolve_carrier(bk, state: AutomatonState, M: int):
+    """One carrier pass, run in the caller's thread; returns the new state
+    and the carrier value trace.  The tail budget is fixed: CapExceeded when
+    the carrier is not at rest 4 dev + 16 sites past the window (dev the
+    deviation)."""
     spec, pat = state.spec, state.pattern
     a = state.background_letter
     rest = delta(spec, M, a)
@@ -255,7 +257,7 @@ def evolve_carrier(bk, state: AutomatonState, M: int,
         out.append(b2)
         trace.append(car)
     j = state.window_start + len(state.window)
-    budget = extra_budget if extra_budget is not None else 4 * state.deviation() + 16
+    budget = 4 * state.deviation() + 16
     used = 0
     while car.x != rest.x:  # the carrier is always a B_M element of spec
         b2, car = r_elementary(bk, car, backs[j % period])
@@ -303,12 +305,11 @@ def _evolve_infinite(state: AutomatonState, budget: int) -> AutomatonState:
     return AutomatonState(spec, state.k, state.window_start, tuple(out), pat)
 
 
-def evolve_T(bk, state: AutomatonState, M0: int | None = None,
-             M_limit: int = 512):
+def evolve_T(bk, state: AutomatonState, M_limit: int = 512):
     """The large-carrier evolution T_infinity; returns (new state, M).
 
-    With M0 None on the builtin A1 rules, one pass of a carrier of infinite
-    capacity gives the step exactly, M_limit does not apply, and M is
+    On the builtin A1 rules, one pass of a carrier of infinite capacity
+    gives the step exactly, M_limit does not apply, and M is
     dev + max(pattern), dev the deviation: evolve_carrier at any capacity
     M or more gives the same step.  The reason: the carrier's load (its
     letters off the background letter a) never exceeds dev, since the
@@ -319,18 +320,19 @@ def evolve_T(bk, state: AutomatonState, M0: int | None = None,
     them.  Dropping those terms leaves every Q_i, and so every swap, as
     the infinite carrier has it.
 
-    Everywhere else M doubles from M0 (default max(2, dev)) until passes at
-    M and 2M agree, and M is the smaller; CapExceeded is raised when no
-    pass up to capacity M_limit settles.
+    Every other backend doubles M from max(2, dev) until passes at M and
+    2M agree, and M is the smaller; CapExceeded is raised when no pass up
+    to capacity M_limit settles.  Every pass has evolve_carrier's fixed
+    tail budget, and all of them run in the caller's thread.
     """
     dev = state.deviation()
-    budget = 4 * dev + 16  # each pass's own default, computed once
-    if M0 is None and has_closed_form(bk):
-        return _evolve_infinite(state, budget), dev + max(state.pattern)
-    M = M0 if M0 is not None else max(2, dev)
-    prev, _ = evolve_carrier(bk, state, M, budget)
+    if has_closed_form(bk):
+        # evolve_carrier's tail budget, from the deviation already at hand
+        return _evolve_infinite(state, 4 * dev + 16), dev + max(state.pattern)
+    M = max(2, dev)
+    prev, _ = evolve_carrier(bk, state, M)
     while M <= M_limit:
-        cur, _ = evolve_carrier(bk, state, 2 * M, budget)
+        cur, _ = evolve_carrier(bk, state, 2 * M)
         if cur == prev:
             return prev, M
         prev, M = cur, 2 * M

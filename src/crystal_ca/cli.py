@@ -69,13 +69,11 @@ def _auto_or_int(text: str) -> int | None:
 
 
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
+    # split always yields one field at least, so "" fails int() like "1,,2"
     try:
-        vals = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise FormatError(f"{what} must be comma-separated integers, got {text!r}") from None
-    if not vals:
-        raise FormatError(f"{what} must not be empty")
-    return vals
 
 
 def _head(spec: AlgebraSpec) -> dict:
@@ -109,7 +107,7 @@ def _render_rows(states, pad: int, sep: str):
 def cmd_simulate(args) -> int:
     bk = _backend(args)
     spec = bk.spec
-    pattern = _csv_ints(args.capacities, "--capacities") if args.capacities else None
+    pattern = None if args.capacities is None else _csv_ints(args.capacities, "--capacities")
     state = parse_state(spec, args.background_k, args.state, pattern, args.window_start)
     for c in set(state.pattern):
         if not bk.covers(c):
@@ -122,8 +120,10 @@ def cmd_simulate(args) -> int:
         if args.M is not None:
             return evolve_carrier(bk, st, args.M)
         nxt, M_used = evolve_T(bk, st)
-        _, trace = evolve_carrier(bk, st, M_used)
-        return nxt, trace
+        if not args.emit_json:
+            return nxt, []
+        # only --emit-json prints the carrier: one finite pass at the M found
+        return nxt, evolve_carrier(bk, st, M_used)[1]
 
     k, d = state.k, spec.d
     rows: list[AutomatonState] = [state]
@@ -212,7 +212,7 @@ def cmd_rmatrix(args) -> int:
 def _verify_theorem(bk, args) -> dict:
     return verify_theorem(
         bk, _csv_ints(args.shape, "--shape"), k=args.k, trials=args.trials,
-        seed=args.seed, margin=args.margin, M=args.M, jobs=args.jobs,
+        seed=args.seed, margin=args.margin, M=args.M,
     )
 
 
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = vs.add_parser("theorem", parents=[algebra, emit, trials, margin, capacity])
     p.add_argument("--shape", required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(body=_verify_theorem)
 
     p = vs.add_parser("yb", parents=[algebra, emit])

@@ -18,13 +18,14 @@ chain step checks its side conditions and flags instead of guessing when they
 fail; the chain's states are returned with the image.  verify_theorem races
 the two forms on random inputs and also checks the intermediate-state laws
 the factorized form relies on.
+
+Everything runs in one thread: every memo is a plain get-then-store, and
+no lock guards it.
 """
 from __future__ import annotations
 
 import random
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import AlgebraSpec, bar, is_barred
 from .crystal import (
@@ -69,7 +70,6 @@ class InapplicableError(RuntimeError):
 # oracle tables
 
 _TABLES: dict[tuple, dict] = {}
-_LOCK = threading.Lock()
 
 
 def get_table(bk, l: int, m: int) -> dict:
@@ -77,10 +77,10 @@ def get_table(bk, l: int, m: int) -> dict:
     built once per structure source (bk.identity) and memoized in memory."""
     spec = bk.spec
     key = (spec.family, spec.rank, bk.identity, l, m)
-    with _LOCK:
-        if key not in _TABLES:
-            _TABLES[key] = _build_table(bk, l, m)
-        return _TABLES[key]
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _build_table(bk, l, m)
+    return table
 
 
 def _query_rows(bk, spec: AlgebraSpec, l: int) -> dict:
@@ -158,10 +158,9 @@ def _build_table(bk, l: int, m: int) -> dict:
 
 def clear_tables():
     """Forget every swap table and every memoized swap."""
-    with _LOCK:
-        _TABLES.clear()
-        _PAIRS.clear()
-        _INF_PAIRS.clear()
+    _TABLES.clear()
+    _PAIRS.clear()
+    _INF_PAIRS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +221,7 @@ def infinite_memo(spec: AlgebraSpec, p: int) -> dict:
     key = (spec, p)
     memo = _INF_PAIRS.get(key)
     if memo is None:
-        with _LOCK:
-            memo = _INF_PAIRS.setdefault(key, {})
+        memo = _INF_PAIRS[key] = {}
     return memo
 
 
@@ -248,8 +246,7 @@ def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalEleme
     key = (spec, bk.identity, a.l, b.l)
     memo = _PAIRS.get(key)
     if memo is None:
-        with _LOCK:
-            memo = _PAIRS.setdefault(key, {})
+        memo = _PAIRS[key] = {}
     xy = (a.x, b.x)
     pair = memo.get(xy)
     if pair is None:
@@ -442,8 +439,11 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
     Each trial draws a domain element of B_M and a random partner tensor of
     the given shape.  A side-condition refusal counts as flagged, not failed.
     With margin 0 half the draws are scrambled so refusals actually occur.
+    The trials run one after another in this thread; jobs must be 1.
     Returns the report body: its parameters, counts and failures.
     """
+    if jobs != 1:
+        raise ValueError(f"verify_theorem runs in one thread; jobs must be 1, got {jobs}")
     spec = bk.spec
     if margin is None:
         margin = sum(shape)
@@ -452,7 +452,8 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
     a_k = spec.letter_at(k)
     pools = {l: enumerate_crystal(spec, l) for l in set(shape)}
 
-    def run_trial(tnum: int) -> dict:
+    passes, flagged, failures = 0, [], []
+    for tnum in range(trials):
         trial_seed = seed + tnum
         rng = random.Random(trial_seed)
         u = sample_domain_element(spec, M, a_k, max(margin, 0), rng)
@@ -465,8 +466,9 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
         try:
             got, states = r_factorized(bk, t, k=k, margin=margin)
         except InapplicableError as err:
-            entry.update(status="flagged", reason=err.reason, step=err.step)
-            return entry
+            entry.update(reason=err.reason, step=err.step)
+            flagged.append(entry)
+            continue
         problems = []
         if got != expected:
             problems.append(
@@ -497,23 +499,12 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
                  "got": str(t_def(bk, sigma_letterwise(u_final), k))}
             )
         if problems:
-            entry.update(status="failed", problems=problems,
-                         expected=expected.word(), got=got.word())
+            entry.update(problems=problems, expected=expected.word(), got=got.word())
+            failures.append(entry)
         else:
-            entry["status"] = "pass"
-        return entry
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
-
-    by_status: dict[str, list] = {"pass": [], "flagged": [], "failed": []}
-    for r in results:
-        by_status[r.pop("status")].append(r)
+            passes += 1
     return {
         "shape": list(shape), "k": k, "M": M, "margin": margin, "trials": trials,
-        "passes": len(by_status["pass"]), "flagged": len(by_status["flagged"]),
-        "flagged_examples": by_status["flagged"][:10], "failures": by_status["failed"],
+        "passes": passes, "flagged": len(flagged),
+        "flagged_examples": flagged[:10], "failures": failures,
     }

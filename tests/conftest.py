@@ -19,6 +19,15 @@ def a1_1():
 
 
 @pytest.fixture(scope="session")
+def a1_1_graph(tmp_path_factory):
+    """Rank-1 A1 with B_1 read from a graph file: its identity is not
+    "builtin", so evolve_T doubles finite carriers on it, over small tables."""
+    path = tmp_path_factory.mktemp("graphs") / "b1.graph"
+    path.write_text("A1 1 1\n1 1 2\n2 0 1\n")
+    return make_backend(AlgebraSpec("A1", 1), (str(path),))
+
+
+@pytest.fixture(scope="session")
 def a1_2():
     return make_backend(AlgebraSpec("A1", 2))
 

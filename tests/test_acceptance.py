@@ -200,7 +200,7 @@ def test_criterion_09_soliton_phenomenology(a1_1):
         spec = AlgebraSpec("A1", 1)
         for length in range(1, 5):
             s = parse_state(spec, 1, ".".join("2" * length))
-            out, _ = evolve_T(a1_1, s, M0=8)
+            out, _ = evolve_T(a1_1, s)
             assert out.window_start == s.window_start + length
             assert [b.word() for b in out.window] == ["2"] * length
         cur = parse_state(spec, 1, ".".join(ROWS[0]))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crystal_ca import rmatrix
+from crystal_ca import automaton, rmatrix
 from crystal_ca import (
     AlgebraSpec,
     AutomatonState,
@@ -198,12 +198,15 @@ def test_conservation(a1_1):
         assert cur.weight_profile() == profile
 
 
-def test_soliton_velocity(a1_1):
-    for length in range(1, 5):
-        s = parse_state(A11, 1, dotted("2" * length))
-        out, _ = evolve_T(a1_1, s, M0=8)
-        assert out.window_start == s.window_start + length
-        assert [b.word() for b in out.window] == ["2"] * length
+def test_soliton_velocity(a1_1, a1_1_graph):
+    # evolve_T's two paths: the one infinite pass on the builtin rules, and
+    # the doubling of finite carriers on a graph-backed B_1
+    for bk in (a1_1, a1_1_graph):
+        for length in range(1, 5):
+            s = parse_state(A11, 1, dotted("2" * length))
+            out, _ = evolve_T(bk, s)
+            assert out.window_start == s.window_start + length
+            assert [b.word() for b in out.window] == ["2"] * length
 
 
 def test_two_soliton_overtaking(a1_1):
@@ -224,13 +227,14 @@ def test_background_fixed_point(a1_1):
     assert evolve_T_factorized(a1_1, s, 1) == s
 
 
-def test_mixed_capacities(a1_1):
+def test_mixed_capacities(a1_1, a1_1_graph):
     s = parse_state(A11, 1, "22.2.11.1", pattern=(2, 1))
-    stable, _ = evolve_T(a1_1, s, M0=8)
-    assert evolve_T_factorized(a1_1, s, 1) == stable
-    assert evolve_fine(a1_1, s, s.k + A11.d) == stable
-    assert evolve_T_factorized(a1_1, stable, -1) == s
-    assert stable.deviation() == s.deviation()
+    for bk in (a1_1, a1_1_graph):  # one infinite pass, then the doubling
+        stable, _ = evolve_T(bk, s)
+        assert evolve_T_factorized(bk, s, 1) == stable
+        assert evolve_fine(bk, s, s.k + A11.d) == stable
+        assert evolve_T_factorized(bk, stable, -1) == s
+        assert stable.deviation() == s.deviation()
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -249,23 +253,32 @@ def test_carrier_matches_sweeps(rank, pattern):
             assert stepped == evolve_T_factorized(bk, s, 1), (k, start, s)
 
 
-def test_carrier_budget_guard(a1_1):
-    with pytest.raises(CapExceeded):
-        evolve_carrier(a1_1, intro_state(), 3, extra_budget=0)
+def test_carrier_budget_guard(a1_1, monkeypatch):
+    # a swap whose carrier never returns to rest meets the fixed tail budget
+    s = intro_state()
+    stuck = parse_element(A11, "122")
+    monkeypatch.setattr(automaton, "r_elementary", lambda bk, car, b: (b, stuck))
+    budget = 4 * s.deviation() + 16
+    with pytest.raises(CapExceeded, match=f"within {budget} extra sites"):
+        evolve_carrier(a1_1, s, 3)
 
 
-def test_evolve_T_limit_guard(a1_1):
+def test_evolve_T_limit_guard(a1_1, a1_1_graph):
     s = parse_state(A11, 1, dotted("22"))
+    # the one infinite pass needs no capacity limit and returns dev + 1
+    assert evolve_T(a1_1, s, M_limit=1)[1] == 3
+    # the doubling starts at M = 2 and gives up past M_limit
     with pytest.raises(CapExceeded):
-        evolve_T(a1_1, s, M0=1, M_limit=1)
-    out, M_used = evolve_T(a1_1, s, M0=2)
-    assert M_used == 2 and out.window_start == 2
+        evolve_T(a1_1_graph, s, M_limit=1)
+    for bk, M_settled in ((a1_1, 3), (a1_1_graph, 2)):
+        out, M_used = evolve_T(bk, s)
+        assert M_used == M_settled and out.window_start == 2
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_infinite_carrier_matches_finite_paths(rank):
-    # the one pass of evolve_T on A1 against the M-doubling it replaces, the
-    # factorized step, and the finite carrier at the capacity it returns
+    # the one pass of evolve_T on A1 against the factorized step and the
+    # finite carrier at the capacity it returns and at twice that
     spec = AlgebraSpec("A1", rank)
     bk = make_backend(spec)
     rng = random.Random(400 + rank)
@@ -279,22 +292,21 @@ def test_infinite_carrier_matches_finite_paths(rank):
                 dev = s.deviation()
                 one, M = evolve_T(bk, s)
                 assert M == dev + max(pattern)
-                doubled, _ = evolve_T(bk, s, M0=max(2, dev), M_limit=1 << 16)
-                assert one == doubled, (k, start, s)
                 assert one == evolve_T_factorized(bk, s, 1), (k, start, s)
                 assert one == evolve_carrier(bk, s, M)[0], (k, start, s)
+                assert one == evolve_carrier(bk, s, 2 * M)[0], (k, start, s)
 
 
-def test_evolve_T_past_the_capacity_limit(a1_1):
+def test_evolve_T_past_the_capacity_limit(a1_1, a1_1_graph):
     # a soliton of deviation 600: the one pass needs no capacity limit, while
-    # the doubling from M0 gives up at M_limit = 512
+    # the doubling, which starts at M = 600, gives up at M_limit = 512
     s = parse_state(A11, 1, dotted("2" * 600))
     out, M = evolve_T(a1_1, s)
     assert M == 601
     assert out.window_start == s.window_start + 600 and out.window == s.window
     assert out == evolve_T_factorized(a1_1, s, 1)
     with pytest.raises(CapExceeded):
-        evolve_T(a1_1, s, M0=2)
+        evolve_T(a1_1_graph, s)
 
 
 def test_evolve_T_large_carrier_without_tables():

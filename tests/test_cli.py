@@ -85,6 +85,41 @@ def test_simulate_emit_json(tmp_path, capsys):
     assert "".join(sites).strip("1").startswith("2")
 
 
+def test_simulate_carrier_pass_only_for_json(tmp_path, monkeypatch, capsys):
+    # under --M auto the finite pass at the returned M only fills the JSON
+    # carrier words; evolve_T's one pass on builtin A1 makes the steps
+    import crystal_ca.cli as cli
+
+    passes = []
+    finite = cli.evolve_carrier
+
+    def counted(bk, state, M):
+        passes.append(M)
+        return finite(bk, state, M)
+
+    monkeypatch.setattr(cli, "evolve_carrier", counted)
+    argv = ("simulate", "--algebra", "A1", "--rank", "1", "--background-k", "1",
+            "--state", ".".join(ROWS[0]), "--steps", "3", "--mode", "carrier",
+            "--sep", "", "--pad", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == ROWS
+    assert passes == []
+    path = tmp_path / "sim.json"
+    code, out, _ = run(capsys, *argv, "--emit-json", str(path))
+    assert code == 0 and out.splitlines() == ROWS
+    assert passes == [4, 4, 4]  # dev + max(pattern)
+    steps = json.loads(path.read_text())["steps"]
+    assert steps[0]["carrier"] == []
+    assert all(st["carrier"][0] == "1111" for st in steps[1:])
+
+
+def test_simulate_empty_capacities_exit_2(capsys):
+    code, out, err = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
+                         "--state", "2.2", "--capacities", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --capacities must be comma-separated integers, got ''\n"
+
+
 def test_simulate_fine_mode(capsys):
     code, out, _ = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
                        "--background-k", "1", "--state", "2.2", "--steps", "1",
@@ -156,7 +191,6 @@ def test_M_below_margin_exit_2(capsys, suite, args, margin):
 
 
 @pytest.mark.parametrize("argv, flag, value", [
-    (("verify", "theorem", "--shape", "1"), "--jobs", "-3"),
     (("verify", "corollary"), "--max-cap", "0"),
     (("verify", "corollary"), "--max-window", "0"),
     (("verify", "theorem", "--shape", "1"), "--trials", "0"),
@@ -168,7 +202,7 @@ def test_M_below_margin_exit_2(capsys, suite, args, margin):
     (("simulate", "--state", "2.2"), "--M", "0"),
     (("verify", "theorem", "--shape", "1"), "--M", "-5"),
     (("verify", "columns"), "--M", "x"),
-], ids=["jobs", "max-cap", "max-window", "theorem-trials", "corollary-trials",
+], ids=["max-cap", "max-window", "theorem-trials", "corollary-trials",
         "columns-trials", "tmap-l", "columns-l", "export-l", "simulate-M",
         "theorem-M", "columns-M"])
 def test_count_flags_must_be_positive(capsys, argv, flag, value):
@@ -336,6 +370,24 @@ def test_console_script_help():
     for proc in (console_script("--help"), run_python("-m", "crystal_ca", "--help")):
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "verify" in proc.stdout
+
+
+def test_theorem_has_no_jobs_flag(capsys):
+    # the trials run in one thread; --jobs is gone
+    argv = ("verify", "theorem", "--algebra", "A1", "--rank", "2", "--shape", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "theorem", "--help"])
+    assert "--jobs" not in capsys.readouterr().out
+
+
+def test_import_loads_no_thread_pool():
+    proc = run_python("-c", "import sys, crystal_ca; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_end_to_end():
