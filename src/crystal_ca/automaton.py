@@ -194,43 +194,37 @@ def dual_vertex_step(bk, i: int, s: int, b: CrystalElement) -> tuple[CrystalElem
     return b, e + s - p
 
 
-def _sweep_raise(state_like, bk, window, start, color, bg_letter):
+def _sweep(bk, state_like, sites, cell, color, bg_letter, j, step):
+    """Run the carrier value through the given sites with one cell rule,
+    then through background sites j, j + step, ... until it is absorbed.
+    Returns the new sites in visiting order and the first site not visited."""
     spec, cap_at = state_like.spec, state_like.capacity_at
     s = 0
     out = []
-    for b in window:
-        b2, s = vertex_step(bk, color, s, b)
+    for b in sites:
+        b2, s = cell(bk, color, s, b)
         out.append(b2)
-    j = start + len(window)
     guard = 0
     while s > 0:
-        b2, s2 = vertex_step(bk, color, s, delta(spec, cap_at(j), bg_letter))
+        b2, s2 = cell(bk, color, s, delta(spec, cap_at(j), bg_letter))
         if s2 >= s:
             raise AssertionError("background site failed to absorb the sweep")
         out.append(b2)
-        s, j, guard = s2, j + 1, guard + 1
+        s, j, guard = s2, j + step, guard + 1
         if guard > _SWEEP_LIMIT:
-            raise CapExceeded("raising sweep exceeded the site budget")
+            raise CapExceeded("vertex sweep exceeded the site budget")
+    return out, j
+
+
+def _sweep_raise(state_like, bk, window, start, color, bg_letter):
+    out, _ = _sweep(bk, state_like, window, vertex_step, color, bg_letter,
+                    start + len(window), 1)
     return out, start
 
 
 def _sweep_lower(state_like, bk, window, start, color, bg_letter):
-    spec, cap_at = state_like.spec, state_like.capacity_at
-    s = 0
-    out = []
-    for b in reversed(window):
-        b2, s = dual_vertex_step(bk, color, s, b)
-        out.append(b2)
-    j = start - 1
-    guard = 0
-    while s > 0:
-        b2, s2 = dual_vertex_step(bk, color, s, delta(spec, cap_at(j), bg_letter))
-        if s2 >= s:
-            raise AssertionError("background site failed to absorb the sweep")
-        out.append(b2)
-        s, j, guard = s2, j - 1, guard + 1
-        if guard > _SWEEP_LIMIT:
-            raise CapExceeded("lowering sweep exceeded the site budget")
+    out, j = _sweep(bk, state_like, reversed(window), dual_vertex_step, color,
+                    bg_letter, start - 1, -1)
     out.reverse()
     return out, j + 1
 
@@ -339,20 +333,25 @@ def evolve_T(bk, state: AutomatonState, M_limit: int = 512):
     raise CapExceeded(f"carrier evolution did not settle below capacity {M_limit}")
 
 
+def _raise_chain(bk, state: AutomatonState, m: int):
+    """The raising sweeps at chain positions k+1..m; returns (window, start)."""
+    spec = state.spec
+    window, start = list(state.window), state.window_start
+    for mm in range(state.k + 1, m + 1):
+        window, start = _sweep_raise(
+            state, bk, window, start, spec.index_at(mm), spec.letter_at(mm - 1)
+        )
+    return window, start
+
+
 def evolve_T_factorized(bk, state: AutomatonState, t: int = 1) -> AutomatonState:
     """t steps of the evolution as Weyl sweeps plus the automorphism power."""
     spec, k, d = state.spec, state.k, state.spec.d
-    window, start = list(state.window), state.window_start
-    if t > 0:
-        for m in range(k + 1, k + t * d + 1):
-            window, start = _sweep_raise(
-                state, bk, window, start, spec.index_at(m), spec.letter_at(m - 1)
-            )
-    elif t < 0:
-        for m in range(k, k + t * d, -1):
-            window, start = _sweep_lower(
-                state, bk, window, start, spec.index_at(m), spec.letter_at(m)
-            )
+    window, start = _raise_chain(bk, state, k + max(t, 0) * d)
+    for m in range(k, k + t * d, -1):  # lowering sweeps, for t < 0 only
+        window, start = _sweep_lower(
+            state, bk, window, start, spec.index_at(m), spec.letter_at(m)
+        )
     window = [sigma_letterwise_pow(b, t) for b in window]
     return AutomatonState(spec, k, start, tuple(window), state.pattern)
 
@@ -363,11 +362,7 @@ def evolve_fine(bk, state: AutomatonState, m: int) -> AutomatonState:
     spec, k = state.spec, state.k
     if m < k:
         raise ValueError(f"fine step index {m} below the offset {k}")
-    window, start = list(state.window), state.window_start
-    for mm in range(k + 1, m + 1):
-        window, start = _sweep_raise(
-            state, bk, window, start, spec.index_at(mm), spec.letter_at(mm - 1)
-        )
+    window, start = _raise_chain(bk, state, m)
     twisted = []
     for b in window:
         for mm in range(m, k, -1):

@@ -1,4 +1,4 @@
-"""Structure backends: where eps/phi/e/f and power on single elements come from.
+"""Structure backends: where eps, phi and power on single elements come from.
 
 The package computes the type A1 family directly from coordinates.  Every
 other family is accepted through a crystal-graph file (one f-arrow per line).
@@ -10,7 +10,6 @@ automorphism, and S_i being an involution.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .algebra import FAMILIES, AlgebraSpec
@@ -38,7 +37,8 @@ class GraphError(ValueError):
 
 
 class BuiltinA1:
-    """Coordinate rules for the A1 family: slot i feeds slot i-1 cyclically."""
+    """A1 rule source, answering eps, phi and power from coordinates:
+    slot i feeds slot i-1 cyclically."""
 
     family = "A1"
 
@@ -51,12 +51,6 @@ class BuiltinA1:
 
     def phi(self, i: int, el: CrystalElement) -> int:
         return el.x[(i - 1) % self._m]
-
-    def e(self, i: int, el: CrystalElement):
-        return self.power(i, el, -1)
-
-    def f(self, i: int, el: CrystalElement):
-        return self.power(i, el, 1)
 
     def power(self, i: int, el: CrystalElement, n: int):
         """f_i^n for n > 0, e_i^-n for n < 0: one move of |n| units between
@@ -76,7 +70,7 @@ class BuiltinA1:
 
 
 class GraphProvider:
-    """eps/phi/e/f looked up from an explicit arrow list for one B_l.
+    """Rule source answering eps, phi and power from an arrow list for one B_l.
 
     Every arrow endpoint is validated once, here, so the elements that
     queries return are built without checks.
@@ -99,7 +93,6 @@ class GraphProvider:
         self.l = l
         self._f = f_edges
         self._e = {(i, dst): src for (i, src), dst in f_edges.items()}
-        self.digest = hashlib.sha256(repr(sorted(f_edges.items())).encode()).hexdigest()
         self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
         self._phi_cache: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -118,12 +111,6 @@ class GraphProvider:
 
     def phi(self, i: int, el: CrystalElement) -> int:
         return self._walk(self._f, self._phi_cache, i, el.x)
-
-    def e(self, i: int, el: CrystalElement):
-        return self.power(i, el, -1)
-
-    def f(self, i: int, el: CrystalElement):
-        return self.power(i, el, 1)
 
     def power(self, i: int, el: CrystalElement, n: int):
         """f_i^n for n > 0, e_i^-n for n < 0: |n| arrows walked, one element
@@ -145,11 +132,14 @@ class GraphProvider:
 class Providers:
     """Per-capacity dispatch of the structure queries.
 
-    identity names the structure source ("builtin", or a digest of the graph
-    files' arrows by capacity); caches of derived data such as R tables key
-    on it, so one source's answers are never handed to another.  Without
-    graph files the builtin rules answer every capacity, so the queries are
-    bound to them directly and skip provider_for.
+    Rule sources answer eps, phi and power; e and f are powers -1 and 1.
+    identity names the structure source: "builtin", or the frozenset of
+    (capacity, graph provider) items.  Caches of derived data such as R
+    tables key on it and so keep the providers alive: no identity is reused
+    while an entry lives, and one source's answers are never handed to
+    another (two loads of one file are two sources).  Without graph files
+    the builtin rules answer every capacity, so the queries are bound to
+    them directly and skip provider_for.
     """
 
     spec: AlgebraSpec
@@ -158,14 +148,12 @@ class Providers:
     def __post_init__(self):
         self._builtin = BuiltinA1(self.spec.rank) if self.spec.family == "A1" else None
         if self.graphs:
-            blob = ";".join(f"{l}:{g.digest}" for l, g in sorted(self.graphs.items()))
-            self.identity = hashlib.sha256(blob.encode()).hexdigest()
+            self.identity = frozenset(self.graphs.items())
         else:
             self.identity = "builtin"
             b = self._builtin
             if b is not None:
-                self.eps, self.phi, self.e, self.f, self.power = (
-                    b.eps, b.phi, b.e, b.f, b.power)
+                self.eps, self.phi, self.power = b.eps, b.phi, b.power
 
     def provider_for(self, l: int):
         if l in self.graphs:
@@ -187,10 +175,10 @@ class Providers:
         return self.provider_for(el.l).phi(i, el)
 
     def e(self, i: int, el: CrystalElement):
-        return self.provider_for(el.l).e(i, el)
+        return self.power(i, el, -1)
 
     def f(self, i: int, el: CrystalElement):
-        return self.provider_for(el.l).f(i, el)
+        return self.power(i, el, 1)
 
     def power(self, i: int, el: CrystalElement, n: int):
         return self.provider_for(el.l).power(i, el, n)
@@ -395,7 +383,7 @@ def admission_errors(provider: GraphProvider, cap: int = 200_000) -> list[str]:
                 if provider.eps(i, el) != builtin.eps(i, el) or provider.phi(i, el) != builtin.phi(i, el):
                     errs.append(f"eps/phi disagree with coordinate rules at {el.word()}")
                     return errs
-                if provider.f(i, el) != builtin.f(i, el) or provider.e(i, el) != builtin.e(i, el):
+                if any(provider.power(i, el, n) != builtin.power(i, el, n) for n in (1, -1)):
                     errs.append(f"arrows disagree with coordinate rules at {el.word()}")
                     return errs
     return errs

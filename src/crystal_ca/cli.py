@@ -63,6 +63,13 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "nonnegative")
 
 
+def _path(text: str) -> str:
+    """argparse type of a file path flag: an empty path is no path."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a file path, got ''")
+    return text
+
+
 def _auto_or_int(text: str) -> int | None:
     """argparse type of --M: "auto" (None, the package's choice) or a positive integer."""
     return None if text == "auto" else _positive_int(text)
@@ -83,10 +90,10 @@ def _head(spec: AlgebraSpec) -> dict:
 
 def _emit(report: dict, path: str | None, echo: bool = True) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if echo or not path:
+    if echo:
         sys.stdout.write(text)
 
 
@@ -120,7 +127,7 @@ def cmd_simulate(args) -> int:
         if args.M is not None:
             return evolve_carrier(bk, st, args.M)
         nxt, M_used = evolve_T(bk, st)
-        if not args.emit_json:
+        if args.emit_json is None:
             return nxt, []
         # only --emit-json prints the carrier: one finite pass at the M found
         return nxt, evolve_carrier(bk, st, M_used)[1]
@@ -156,7 +163,7 @@ def cmd_simulate(args) -> int:
     for line in lines:
         print(line)
 
-    if args.emit_json:
+    if args.emit_json is not None:
         steps = []
         for idx, st in enumerate(rows):
             m = k + idx if args.mode == "fine" else k + idx * d
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     algebra.add_argument("--crystal-graph", action="append", default=[], metavar="PATH",
                          help="crystal graph file; repeatable, one per capacity")
     emit = argparse.ArgumentParser(add_help=False)
-    emit.add_argument("--emit-json", default=None, metavar="PATH")
+    emit.add_argument("--emit-json", type=_path, default=None, metavar="PATH")
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=_positive_int, default=100)
     trials.add_argument("--seed", type=int, default=0)

@@ -3,10 +3,10 @@
 Elements of B_l are nonnegative integer coordinate vectors (one slot per
 stored letter of the family); tensor elements are ordered factor lists.
 All Kashiwara-operator queries on single elements are delegated to a backend
-object with methods eps/phi/e/f and power (f_i^n for n > 0, e_i^-n for
-n < 0); everything else here (tensor routing, Weyl operators, the diagram
-automorphism, extreme elements delta, the t-map) is derived from those
-queries.
+that answers three queries: eps, phi and power (f_i^n for n > 0, e_i^-n for
+n < 0, so e_i and f_i are the powers 1 and -1).  Everything else here
+(tensor routing, Weyl operators, the diagram automorphism, extreme elements
+delta, the t-map) is derived from those queries.
 
 Elements are validated where they enter from outside (the parsers,
 from_counts, enumeration); elements the package derives from valid ones are

@@ -14,10 +14,11 @@ past a site (r_infinite), which gives the automaton's T_infinity in one pass.
 
 Factorized: a Weyl-operator chain followed by the block swap and the diagram
 automorphism, valid when the left factor carries a dominant letter.  Each
-chain step checks its side conditions and flags instead of guessing when they
-fail; the chain's states are returned with the image.  verify_theorem races
-the two forms on random inputs and also checks the intermediate-state laws
-the factorized form relies on.
+chain step checks its side conditions and declines when they fail; outside
+the theorem's domain (a margin below the partners' capacity) a chain can
+pass them and still be wrong.  The chain's states are returned with the
+image.  verify_theorem races the two forms on random inputs and also checks
+the intermediate-state laws the factorized form relies on.
 
 Everything runs in one thread: every memo is a plain get-then-store, and
 no lock guards it.
@@ -438,7 +439,9 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
 
     Each trial draws a domain element of B_M and a random partner tensor of
     the given shape.  A side-condition refusal counts as flagged, not failed.
-    With margin 0 half the draws are scrambled so refusals actually occur.
+    With margin 0 half the draws are scrambled so refusals actually occur,
+    and a check broken at a domain gap below sum(shape) is flagged as
+    "outside-domain" with its problems.
     The trials run one after another in this thread; jobs must be 1.
     Returns the report body: its parameters, counts and failures.
     """
@@ -500,7 +503,11 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
             )
         if problems:
             entry.update(problems=problems, expected=expected.word(), got=got.word())
-            failures.append(entry)
+            if domain_gap(u, a_k) < sum(shape):
+                entry.update(reason="outside-domain", step=None)
+                flagged.append(entry)
+            else:
+                failures.append(entry)
         else:
             passes += 1
     return {

@@ -182,6 +182,14 @@ def test_multi_step_and_inverse(a1_1):
     assert evolve_T_factorized(a1_1, s, 0) == s
 
 
+@pytest.mark.parametrize("t", [1, -1])
+def test_sweep_budget_guard(a1_1, monkeypatch, t):
+    # both sweep directions run one loop with one site budget
+    monkeypatch.setattr(automaton, "_SWEEP_LIMIT", 0)
+    with pytest.raises(CapExceeded, match="^vertex sweep exceeded the site budget$"):
+        evolve_T_factorized(a1_1, intro_state(), t)
+
+
 def test_fine_endpoints(a1_1):
     s = intro_state()
     assert evolve_fine(a1_1, s, s.k) == s
@@ -251,6 +259,59 @@ def test_carrier_matches_sweeps(rank, pattern):
             s = AutomatonState(spec, k, start, sites, pattern)
             stepped, _ = evolve_T(bk, s)
             assert stepped == evolve_T_factorized(bk, s, 1), (k, start, s)
+
+
+# Reference for the A1 dynamics that shares nothing with R or the Weyl
+# operators: the ball-moving algorithm (Takahashi-Satsuma 1990; capacities
+# after Takahashi-Matsukidaira 1997).  The background letter is 1 (offset
+# k = n at rank n) and a box's 1s are its vacancies.  For each color c from
+# n+1 down to 2, every ball of color c moves once, leftmost first, to the
+# nearest box strictly to its right that holds a 1.
+
+
+def move_balls(state, colors):
+    spec = state.spec
+    boxes = [{a: b.get(a) for a in spec.word_letters} for b in state.window]
+    caps = [b.l for b in state.window]
+    j = state.window_start + len(boxes)
+    for _ in range(state.deviation() + 1):  # room for every ball to land
+        caps.append(state.capacity_at(j))
+        boxes.append({a: 0 for a in spec.word_letters} | {"1": caps[-1]})
+        j += 1
+    for c in colors:
+        for p in [p for p, box in enumerate(boxes) for _ in range(box[c])]:
+            q = next(q for q in range(p + 1, len(boxes)) if boxes[q]["1"])
+            boxes[p][c] -= 1
+            boxes[p]["1"] += 1
+            boxes[q]["1"] -= 1
+            boxes[q][c] += 1
+    sites = tuple(from_counts(spec, box, l) for box, l in zip(boxes, caps))
+    return AutomatonState(spec, state.k, state.window_start, sites, state.pattern)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_ball_moving_algorithm(rank):
+    # the full move is one time step; moving only the j largest colors is the
+    # fine step at n + j, so each raising sweep moves the balls of one color
+    spec = AlgebraSpec("A1", rank)
+    bk = make_backend(spec)
+    rng = random.Random(70 + rank)
+    descending = [str(c) for c in range(rank + 1, 1, -1)]
+    ascending_differs = 0
+    for pattern in [(1,), (2,), (2, 1)]:
+        pools = {c: enumerate_crystal(spec, c) for c in set(pattern)}
+        for _ in range(40):
+            start = rng.randint(-3, 3)
+            sites = tuple(rng.choice(pools[pattern[j % len(pattern)]])
+                          for j in range(start, start + rng.randint(1, 10)))
+            s = AutomatonState(spec, rank, start, sites, pattern)
+            moved = move_balls(s, descending)
+            assert moved == evolve_T(bk, s)[0] == evolve_T_factorized(bk, s, 1), s
+            for j in range(rank + 1):
+                assert move_balls(s, descending[:j]) == evolve_fine(bk, s, rank + j), (s, j)
+            ascending_differs += move_balls(s, descending[::-1]) != moved
+    # the order of the colors matters once there are two
+    assert (ascending_differs > 0) == (rank > 1)
 
 
 def test_carrier_budget_guard(a1_1, monkeypatch):

@@ -34,12 +34,12 @@ def test_builtin_frozen_ops():
     bk = BuiltinA1(2)
     top = delta(A1_2, 4, "1")
     assert top.x == (4, 0, 0)
-    assert bk.f(1, top).x == (3, 1, 0)
-    assert bk.f(2, top) is None
-    assert bk.f(0, top) is None
+    assert bk.power(1, top, 1).x == (3, 1, 0)
+    assert bk.power(2, top, 1) is None
+    assert bk.power(0, top, 1) is None
     bot = delta(A1_2, 4, "3")
-    assert bk.e(2, bot).x == (0, 1, 3)
-    assert bk.f(0, bot).x == (1, 0, 3)
+    assert bk.power(2, bot, -1).x == (0, 1, 3)
+    assert bk.power(0, bot, 1).x == (1, 0, 3)
     assert bk.eps(0, top) == 4 and bk.phi(0, bot) == 4
 
 
@@ -47,11 +47,11 @@ def test_builtin_matches_definitions():
     bk = BuiltinA1(2)
     for el in enumerate_crystal(A1_2, 3):
         for i in A1_2.index_set:
-            up, down = bk.e(i, el), bk.f(i, el)
+            up, down = bk.power(i, el, -1), bk.power(i, el, 1)
             assert (up is None) == (bk.eps(i, el) == 0)
             assert (down is None) == (bk.phi(i, el) == 0)
             if up is not None:
-                assert bk.f(i, up) == el
+                assert bk.power(i, up, 1) == el
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_power_matches_single_steps(exported_graphs, data):
             want = el
             for _ in range(abs(n)):
                 if want is not None:
-                    want = bk.f(i, want) if n > 0 else bk.e(i, want)
+                    want = bk.power(i, want, 1 if n > 0 else -1)
             got = bk.power(i, el, n)
             assert got == want
             if got is not None:
@@ -125,8 +125,8 @@ def test_hand_built_two_node_graph(tmp_path):
     path = write_graph(tmp_path, "A1 1 1\n1 1 2\n2 0 1\n")
     provider = load_graph(path)
     one = parse_element(A1_1, "1")
-    assert provider.f(1, one).word() == "2"
-    assert provider.e(1, one) is None
+    assert provider.power(1, one, 1).word() == "2"
+    assert provider.power(1, one, -1) is None
     assert provider.phi(0, one) == 0 and provider.eps(0, one) == 1
 
 
@@ -206,8 +206,8 @@ def test_builtin_only_queries_skip_dispatch(monkeypatch):
         for i in A1_2.index_set:
             assert bk.eps(i, el) == builtin.eps(i, el)
             assert bk.phi(i, el) == builtin.phi(i, el)
-            assert bk.e(i, el) == builtin.e(i, el)
-            assert bk.f(i, el) == builtin.f(i, el)
+            assert bk.e(i, el) == builtin.power(i, el, -1)
+            assert bk.f(i, el) == builtin.power(i, el, 1)
             for n in (-2, 2):
                 assert bk.power(i, el, n) == builtin.power(i, el, n)
 

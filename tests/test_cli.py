@@ -120,6 +120,21 @@ def test_simulate_empty_capacities_exit_2(capsys):
     assert err == "error: --capacities must be comma-separated integers, got ''\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--algebra", "A1", "--rank", "1", "--state", "2.2"),
+    ("verify", "theorem", "--algebra", "A1", "--rank", "1", "--shape", "1",
+     "--trials", "2"),
+])
+def test_empty_emit_json_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--emit-json", ""])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --emit-json: must be a file path, got ''" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_fine_mode(capsys):
     code, out, _ = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
                        "--background-k", "1", "--state", "2.2", "--steps", "1",
@@ -160,6 +175,22 @@ def test_internal_error_exit_6(monkeypatch, capsys):
                          "--mode", "factorized")
     assert code == 6
     assert err == "internal error: background site failed to absorb the sweep\n"
+
+
+def test_verify_theorem_margin0_mismatch_outside_domain_is_flagged(capsys):
+    # at margin 0 the per-step checks alone can pass a wrong chain image; every
+    # such draw here has a domain gap of 2-3 against sum(shape) = 6
+    argv = ("verify", "theorem", "--algebra", "A1", "--rank", "3", "--shape", "3,3",
+            "--margin", "0", "--seed", "1")
+    code, out, _ = run(capsys, *argv, "--trials", "400")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["passes"], report["flagged"], report["failures"]) == (153, 247, [])
+    code, out, _ = run(capsys, *argv[:-1], "78", "--trials", "1")
+    [entry] = json.loads(out)["flagged_examples"]
+    assert code == 0 and entry["reason"] == "outside-domain"
+    assert entry["input"] == "34444.223.124"
+    assert [p["check"] for p in entry["problems"]] == ["image", "t-final"]
 
 
 def test_verify_theorem_json_deterministic(tmp_path, capsys):
@@ -385,9 +416,10 @@ def test_theorem_has_no_jobs_flag(capsys):
 
 
 def test_import_loads_no_thread_pool():
-    proc = run_python("-c", "import sys, crystal_ca; print('concurrent.futures' in sys.modules)")
+    proc = run_python("-c", "import sys, crystal_ca; "
+                            "print('concurrent.futures' in sys.modules, 'hashlib' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_console_script_end_to_end():

@@ -279,6 +279,39 @@ def test_domain_sampler_property(spec, margin, kshift, seed):
     assert in_domain(el, a, margin)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_domain_boundary_exhaustive(rank):
+    # the chain with its domain test off (a margin below every gap), on every
+    # u of B_M, M <= auto_capacity, with gap >= L = sum(shape): past the
+    # boundary it always applies and is right; on it, it is never wrong but
+    # some tensors are refused (orientation).  Below it, the per-step checks
+    # let a few wrong images through at rank 2, so the domain is needed.
+    spec = AlgebraSpec("A1", rank)
+    bk = make_backend(spec)
+    seen = {"beyond": 0, "boundary": 0, "refused": 0}
+    for shape in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1)]:
+        L = sum(shape)
+        partners = list(itertools.product(*(enumerate_crystal(spec, l) for l in shape)))
+        for k in (0, 1):
+            a = spec.letter_at(k)
+            for M in range(L, 2 * L + rank + 3):
+                for u in enumerate_crystal(spec, M):
+                    gap = domain_gap(u, a)
+                    if gap < L:
+                        continue
+                    for xs in partners:
+                        t = Tensor((u,) + xs)
+                        seen["beyond" if gap > L else "boundary"] += 1
+                        try:
+                            image, _ = r_factorized(bk, t, k=k, margin=-M)
+                        except InapplicableError as err:
+                            assert gap == L, (t.word(), k, err)
+                            seen["refused"] += 1
+                            continue
+                        assert image == r_composite(bk, t), (t.word(), k, gap)
+    assert seen["beyond"] and seen["refused"]
+
+
 def test_verify_theorem_green(a1_2):
     report = verify_theorem(a1_2, (2, 1), k=1, trials=40, seed=7)
     assert report["passes"] == 40
