@@ -159,29 +159,6 @@ class AlgebraSpec:
         cycle = _sequences(self)[1]
         return cycle[k % len(cycle)]
 
-    # -- Dynkin diagram --------------------------------------------------------
-
-    def dynkin_edges(self) -> frozenset[tuple[int, int]]:
-        """Adjacency of the affine Dynkin diagram, edges as sorted pairs.
-
-        Used only as a sanity anchor: sigma_index must be a graph automorphism.
-        """
-        n = self.rank
-        if self.family == "A1":
-            if n == 1:
-                return frozenset({(0, 1)})
-            cycle = {(i, i + 1) for i in range(n)}
-            cycle.add((0, n))
-            return frozenset(cycle)
-        if self.family in ("A2odd", "B1"):
-            edges = {(0, 2), (1, 2)} | {(i, i + 1) for i in range(2, n)}
-            return frozenset(edges)
-        if self.family == "D1":
-            edges = {(0, 2), (1, 2), (n - 2, n - 1), (n - 2, n)}
-            edges |= {(i, i + 1) for i in range(2, n - 2)}
-            return frozenset(edges)
-        return frozenset((i, i + 1) for i in range(n))  # a path
-
 
 # Data derived from a spec, computed once per spec and shared (specs and the
 # tuples are immutable).  The AlgebraSpec properties above stay plain

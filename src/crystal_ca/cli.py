@@ -117,11 +117,7 @@ def cmd_simulate(args) -> int:
     pattern = None if args.capacities is None else _csv_ints(args.capacities, "--capacities")
     state = parse_state(spec, args.background_k, args.state, pattern, args.window_start)
     for c in set(state.pattern):
-        if not bk.covers(c):
-            raise BackendMissing(
-                f"no backend for {spec.family} rank {spec.rank} B_{c}; "
-                f"supply --crystal-graph"
-            )
+        bk.provider_for(c)  # BackendMissing names an uncovered capacity
 
     def carrier_step(st):
         if args.M is not None:
@@ -247,7 +243,7 @@ def _verify_tmap(bk, args) -> dict:
     if not checked:
         raise BackendMissing(
             f"no backend for {bk.spec.family} rank {bk.spec.rank} at levels "
-            f"1..{args.l}; supply --crystal-graph"
+            f"1..{args.l}; supply a crystal-graph file"
         )
     return {"levels": levels, "elements": checked, "failures": failures}
 
@@ -350,10 +346,7 @@ def cmd_graph_check(args) -> int:
 
 def cmd_graph_export(args) -> int:
     bk = _backend(args)
-    if not bk.covers(args.l):
-        raise BackendMissing(
-            f"nothing to export for {bk.spec.family} rank {bk.spec.rank} B_{args.l}"
-        )
+    bk.provider_for(args.l)  # BackendMissing names an uncovered level
     text = export_graph_text(bk, args.l)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -80,6 +80,9 @@ def get_table(bk, l: int, m: int) -> dict:
     key = (spec.family, spec.rank, bk.identity, l, m)
     table = _TABLES.get(key)
     if table is None:
+        # a level no backend covers is named before B_l or B_m is enumerated
+        bk.provider_for(l)
+        bk.provider_for(m)
         table = _TABLES[key] = _build_table(bk, l, m)
     return table
 

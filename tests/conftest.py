@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from crystal_ca import AlgebraSpec, make_backend
+from crystal_ca import AlgebraSpec, AutomatonState, enumerate_crystal, make_backend
 
 # one line per acceptance criterion, filled by test_acceptance.py
 ACCEPTANCE: list[str] = []
@@ -11,6 +13,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE:
             terminalreporter.write_line(line)
+
+
+_pool = lru_cache(maxsize=None)(enumerate_crystal)  # one pool per (spec, capacity)
+
+
+def random_state(spec, rng, pattern, k, start, width):
+    """A line at offset k whose window is `width` random sites from `start` on."""
+    sites = tuple(rng.choice(_pool(spec, pattern[j % len(pattern)]))
+                  for j in range(start, start + width))
+    return AutomatonState(spec, k, start, sites, pattern)
 
 
 @pytest.fixture(scope="session")

@@ -17,13 +17,14 @@ from crystal_ca import (
     evolve_T_factorized,
     evolve_carrier,
     evolve_fine,
-    enumerate_crystal,
     from_counts,
     make_backend,
     parse_element,
     parse_state,
     vertex_step,
 )
+
+from conftest import random_state
 
 A11 = AlgebraSpec("A1", 1)
 A13 = AlgebraSpec("A1", 3)
@@ -245,75 +246,6 @@ def test_mixed_capacities(a1_1, a1_1_graph):
         assert stable.deviation() == s.deviation()
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-@pytest.mark.parametrize("pattern", [(2, 1), (1, 2, 3)])
-def test_carrier_matches_sweeps(rank, pattern):
-    spec = AlgebraSpec("A1", rank)
-    bk = make_backend(spec)
-    rng = random.Random(rank * 10 + len(pattern))
-    pools = {c: enumerate_crystal(spec, c) for c in set(pattern)}
-    for k in range(spec.d * spec.sigma_order):  # every background letter
-        for start in (0, 1):
-            sites = tuple(rng.choice(pools[pattern[j % len(pattern)]])
-                          for j in range(start, start + 7))
-            s = AutomatonState(spec, k, start, sites, pattern)
-            stepped, _ = evolve_T(bk, s)
-            assert stepped == evolve_T_factorized(bk, s, 1), (k, start, s)
-
-
-# Reference for the A1 dynamics that shares nothing with R or the Weyl
-# operators: the ball-moving algorithm (Takahashi-Satsuma 1990; capacities
-# after Takahashi-Matsukidaira 1997).  The background letter is 1 (offset
-# k = n at rank n) and a box's 1s are its vacancies.  For each color c from
-# n+1 down to 2, every ball of color c moves once, leftmost first, to the
-# nearest box strictly to its right that holds a 1.
-
-
-def move_balls(state, colors):
-    spec = state.spec
-    boxes = [{a: b.get(a) for a in spec.word_letters} for b in state.window]
-    caps = [b.l for b in state.window]
-    j = state.window_start + len(boxes)
-    for _ in range(state.deviation() + 1):  # room for every ball to land
-        caps.append(state.capacity_at(j))
-        boxes.append({a: 0 for a in spec.word_letters} | {"1": caps[-1]})
-        j += 1
-    for c in colors:
-        for p in [p for p, box in enumerate(boxes) for _ in range(box[c])]:
-            q = next(q for q in range(p + 1, len(boxes)) if boxes[q]["1"])
-            boxes[p][c] -= 1
-            boxes[p]["1"] += 1
-            boxes[q]["1"] -= 1
-            boxes[q][c] += 1
-    sites = tuple(from_counts(spec, box, l) for box, l in zip(boxes, caps))
-    return AutomatonState(spec, state.k, state.window_start, sites, state.pattern)
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_ball_moving_algorithm(rank):
-    # the full move is one time step; moving only the j largest colors is the
-    # fine step at n + j, so each raising sweep moves the balls of one color
-    spec = AlgebraSpec("A1", rank)
-    bk = make_backend(spec)
-    rng = random.Random(70 + rank)
-    descending = [str(c) for c in range(rank + 1, 1, -1)]
-    ascending_differs = 0
-    for pattern in [(1,), (2,), (2, 1)]:
-        pools = {c: enumerate_crystal(spec, c) for c in set(pattern)}
-        for _ in range(40):
-            start = rng.randint(-3, 3)
-            sites = tuple(rng.choice(pools[pattern[j % len(pattern)]])
-                          for j in range(start, start + rng.randint(1, 10)))
-            s = AutomatonState(spec, rank, start, sites, pattern)
-            moved = move_balls(s, descending)
-            assert moved == evolve_T(bk, s)[0] == evolve_T_factorized(bk, s, 1), s
-            for j in range(rank + 1):
-                assert move_balls(s, descending[:j]) == evolve_fine(bk, s, rank + j), (s, j)
-            ascending_differs += move_balls(s, descending[::-1]) != moved
-    # the order of the colors matters once there are two
-    assert (ascending_differs > 0) == (rank > 1)
-
-
 def test_carrier_budget_guard(a1_1, monkeypatch):
     # a swap whose carrier never returns to rest meets the fixed tail budget
     s = intro_state()
@@ -336,28 +268,6 @@ def test_evolve_T_limit_guard(a1_1, a1_1_graph):
         assert M_used == M_settled and out.window_start == 2
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_infinite_carrier_matches_finite_paths(rank):
-    # the one pass of evolve_T on A1 against the factorized step and the
-    # finite carrier at the capacity it returns and at twice that
-    spec = AlgebraSpec("A1", rank)
-    bk = make_backend(spec)
-    rng = random.Random(400 + rank)
-    for pattern in [(1,), (2,), (3,), (2, 1), (1, 2, 3)]:
-        pools = {c: enumerate_crystal(spec, c) for c in set(pattern)}
-        for k in range(spec.d * spec.sigma_order):  # every background letter
-            for start in (-3, 0, 1):
-                sites = tuple(rng.choice(pools[pattern[j % len(pattern)]])
-                              for j in range(start, start + rng.randint(1, 8)))
-                s = AutomatonState(spec, k, start, sites, pattern)
-                dev = s.deviation()
-                one, M = evolve_T(bk, s)
-                assert M == dev + max(pattern)
-                assert one == evolve_T_factorized(bk, s, 1), (k, start, s)
-                assert one == evolve_carrier(bk, s, M)[0], (k, start, s)
-                assert one == evolve_carrier(bk, s, 2 * M)[0], (k, start, s)
-
-
 def test_evolve_T_past_the_capacity_limit(a1_1, a1_1_graph):
     # a soliton of deviation 600: the one pass needs no capacity limit, while
     # the doubling, which starts at M = 600, gives up at M_limit = 512
@@ -375,9 +285,7 @@ def test_evolve_T_large_carrier_without_tables():
     # past what a swap table of B_M (x) B_2 could enumerate
     spec = AlgebraSpec("A1", 4)
     bk = make_backend(spec)
-    rng = random.Random(40)
-    pool = enumerate_crystal(spec, 2)
-    s = AutomatonState(spec, 0, 0, tuple(rng.choice(pool) for _ in range(40)), (2,))
+    s = random_state(spec, random.Random(40), (2,), 0, 0, 40)
     clear_tables()
     try:
         out, M = evolve_T(bk, s, M_limit=512)

@@ -162,14 +162,9 @@ def test_tampered_graph_fails_admission(tmp_path):
     path = write_graph(tmp_path, text)
     with pytest.raises(GraphError, match="admission failed"):
         load_graph(path)
-    provider = load_graph(path, admit=False)
-    assert admission_errors(provider) != []
-
-
-def test_admit_flag_skips_checks(tmp_path):
-    text = "A1 1 2\n11 1 22\n22 0 12\n12 0 11\n"
-    provider = load_graph(write_graph(tmp_path, text), admit=False)
-    assert provider.phi(1, parse_element(A1_1, "12")) == 0
+    # the same arrows on coordinates 11 = (2, 0), 12 = (1, 1), 22 = (0, 2)
+    edges = {(1, (2, 0)): (0, 2), (0, (0, 2)): (1, 1), (0, (1, 1)): (2, 0)}
+    assert admission_errors(GraphProvider("A1", 1, 2, edges)) != []
 
 
 def test_make_backend_family_mismatch(tmp_path):

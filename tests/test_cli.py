@@ -156,6 +156,8 @@ def test_backend_missing_exit_3(capsys):
                        "--lhs", "111", "--rhs", "11")
     assert code == 3
     assert "crystal-graph" in err or "backend" in err.lower()
+    code, _, err = run(capsys, "simulate", "--algebra", "C1", "--rank", "2", "--state", "1.1")
+    assert (code, err) == (3, "error: no backend for C1 rank 2 B_1; supply a crystal-graph file\n")
 
 
 def test_cap_exceeded_exit_4(tmp_path, capsys):
@@ -266,7 +268,10 @@ def test_margin_must_be_nonnegative(capsys, argv, flag, value):
      "error: capacity must be positive, got -1"),
     (("tmap", "--algebra", "C1", "--rank", "2", "--l", "2"), 3,
      "error: no backend for C1 rank 2 at levels 1..2"),
-], ids=["yb-negative-size", "tmap-uncovered"])
+    # the backend is asked before B_12 is enumerated, so no size cap fires first
+    (("theorem", "--algebra", "D2", "--rank", "4", "--shape", "1,1", "--trials", "4",
+      "--seed", "60", "--margin", "3"), 3, "error: no backend for D2 rank 4 B_12;"),
+], ids=["yb-negative-size", "tmap-uncovered", "theorem-uncovered"])
 def test_suite_that_checks_nothing_fails(capsys, argv, code, message):
     got, out, err = run(capsys, "verify", *argv)
     assert got == code
@@ -376,6 +381,7 @@ def test_graph_export_without_backend(capsys):
     code, _, err = run(capsys, "graph", "export", "--algebra", "C1", "--rank", "2",
                        "--l", "1")
     assert code == 3
+    assert err == "error: no backend for C1 rank 2 B_1; supply a crystal-graph file\n"
 
 
 def console_script(*argv):

@@ -26,7 +26,6 @@ from crystal_ca import (
     evolve_T,
     get_table,
     in_domain,
-    load_graph,
     make_backend,
     parse_element,
     parse_state,
@@ -352,10 +351,9 @@ def test_unreached_pairs_detected():
 
 @pytest.mark.parametrize("l, m", [(2, 1), (1, 2), (2, 3), (3, 2)])
 def test_table_cache_keyed_per_backend(tmp_path, monkeypatch, a1_1, l, m):
-    # a rewired but structurally valid B_2: f_1 jumps 11 -> 22 directly
-    path = tmp_path / "rewired.graph"
-    path.write_text("A1 1 2\n11 1 22\n22 0 12\n12 0 11\n")
-    rewired = Providers(AlgebraSpec("A1", 1), {2: load_graph(str(path), admit=False)})
+    # a rewired but structurally valid B_2: f_1 jumps 11 = (2, 0) to 22 = (0, 2)
+    rewired = Providers(AlgebraSpec("A1", 1), {2: GraphProvider(
+        "A1", 1, 2, {(1, (2, 0)): (0, 2), (0, (0, 2)): (1, 1), (0, (1, 1)): (2, 0)})})
     # tables live in memory only; CRYSTAL_CA_CACHE_DIR is ignored, nothing is written
     cache = tmp_path / "cache"
     cache.mkdir()
