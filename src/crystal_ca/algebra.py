@@ -7,7 +7,6 @@ Each algebra owns a Dynkin diagram automorphism sigma, a translation datum
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -30,8 +29,39 @@ def is_barred(a: str) -> bool:
     return a.endswith("b")
 
 
-@dataclass(frozen=True)
-class TranslationData:
+class Record:
+    """An immutable value whose fields are named by __slots__.
+
+    __init__ stores the fields in slot order, then runs the class's
+    __post_init__ checks, which alone may normalize a field.  Records are
+    equal, and hash alike, when they share a class and a _key() tuple.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class TranslationData(NamedTuple):
     """One table row: d, the colors i_1..i_d and the letters a_0..a_d."""
 
     d: int
@@ -39,14 +69,14 @@ class TranslationData:
     a_seq: tuple[str, ...]  # a_seq[k] = a_k for 0 <= k <= d
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """Family tag, rank n and the brace choice resolving the two allowed
     simultaneous variants of the translation datum."""
 
-    family: str
-    rank: int
-    brace: str = "upper"
+    __slots__ = ("family", "rank", "brace", "_hash")
+
+    def __init__(self, family: str, rank: int, brace: str = "upper"):
+        super().__init__(family, rank, brace, None)  # __post_init__ stores _hash
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -58,15 +88,17 @@ class AlgebraSpec:
         if self.brace not in ("upper", "lower"):
             raise ValueError(f"brace must be 'upper' or 'lower', got {self.brace!r}")
         # specs key every cache on the hot paths: hash the fields once
-        object.__setattr__(self, "_hash", hash((self.family, self.rank, self.brace)))
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self):
+        return self.family, self.rank, self.brace
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        # rebuild from the fields: a stored hash is only valid in the process
-        # (and PYTHONHASHSEED) that computed it
-        return AlgebraSpec, (self.family, self.rank, self.brace)
+        # rebuild: a stored hash holds only in the process (and hash seed) that made it
+        return AlgebraSpec, self._key()
 
     # -- index set and letters -------------------------------------------------
 

@@ -18,10 +18,9 @@ site strictly absorbs it, so finitely many extra sites suffice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, Record
 from .crystal import (
     CapExceeded,
     CrystalElement,
@@ -56,15 +55,10 @@ def _capacity_pattern(pattern: tuple) -> tuple[int, ...]:
     return pat
 
 
-@dataclass(frozen=True, eq=False)
-class AutomatonState:
+class AutomatonState(Record):
     """A line configuration: window of sites plus implicit background."""
 
-    spec: AlgebraSpec
-    k: int
-    window_start: int
-    window: tuple[CrystalElement, ...]
-    pattern: tuple[int, ...]
+    __slots__ = ("spec", "k", "window_start", "window", "pattern")
 
     def __post_init__(self):
         pat = _capacity_pattern(tuple(self.pattern))
@@ -117,12 +111,6 @@ class AutomatonState:
             self.window_start if self.window else 0,
             tuple([b.x for b in self.window]),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, AutomatonState) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def deviation(self) -> int:
         """Total letter weight sitting off the background letter."""

@@ -10,8 +10,6 @@ automorphism, and S_i being an involution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import FAMILIES, AlgebraSpec
 from .crystal import (
     CrystalElement,
@@ -128,7 +126,6 @@ class GraphProvider:
         return CrystalElement._trusted(el.spec, el.l, x)
 
 
-@dataclass
 class Providers:
     """Per-capacity dispatch of the structure queries.
 
@@ -142,11 +139,10 @@ class Providers:
     them directly and skip provider_for.
     """
 
-    spec: AlgebraSpec
-    graphs: dict[int, GraphProvider] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._builtin = BuiltinA1(self.spec.rank) if self.spec.family == "A1" else None
+    def __init__(self, spec: AlgebraSpec, graphs: dict[int, GraphProvider] | None = None):
+        self.spec = spec
+        self.graphs = {} if graphs is None else graphs
+        self._builtin = BuiltinA1(spec.rank) if spec.family == "A1" else None
         if self.graphs:
             self.identity = frozenset(self.graphs.items())
         else:

@@ -14,10 +14,9 @@ built with CrystalElement._trusted and not checked again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraSpec, bar, is_barred
+from .algebra import AlgebraSpec, Record, bar, is_barred
 
 
 class FormatError(ValueError):
@@ -36,13 +35,10 @@ class CapExceeded(RuntimeError):
 # elements
 
 
-@dataclass(frozen=True)
-class CrystalElement:
+class CrystalElement(Record):
     """A point of B_l: stored coordinates in the family's canonical slot order."""
 
-    spec: AlgebraSpec
-    l: int
-    x: tuple[int, ...]
+    __slots__ = ("spec", "l", "x")
 
     def __post_init__(self):
         l, x, slots = self.l, self.x, self.spec.slots
@@ -76,12 +72,13 @@ class CrystalElement:
         A1 closed form maps B_l (x) B_m onto B_m (x) B_l).
         """
         el = object.__new__(cls)
-        # object.__setattr__, not el.__dict__: the fields then read as fast
-        # as those of a validated element
         object.__setattr__(el, "spec", spec)
         object.__setattr__(el, "l", l)
         object.__setattr__(el, "x", x)
         return el
+
+    def _key(self):
+        return self.spec, self.l, self.x
 
     def get(self, a: str) -> int:
         """Multiplicity of a letter, including the derived ones."""
@@ -102,11 +99,10 @@ class CrystalElement:
         return f"<{self.spec.family} B_{self.l} {''.join(map(str, self.x))}>"
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Record):
     """An ordered tensor product of crystal elements (same algebra)."""
 
-    factors: tuple[CrystalElement, ...]
+    __slots__ = ("factors",)
 
     def __post_init__(self):
         if not self.factors:
@@ -114,6 +110,9 @@ class Tensor:
         spec = self.factors[0].spec
         if any(f.spec != spec for f in self.factors):
             raise ValueError("tensor factors belong to different algebras")
+
+    def _key(self):
+        return self.factors
 
     @property
     def spec(self) -> AlgebraSpec:

@@ -467,13 +467,12 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
             u = _scramble(u, rng)
         xs = tuple(rng.choice(pools[l]) for l in shape)
         t = Tensor((u,) + xs)
-        entry: dict = {"seed": trial_seed, "input": t.word()}
         expected = r_composite(bk, t)
         try:
             got, states = r_factorized(bk, t, k=k, margin=margin)
         except InapplicableError as err:
-            entry.update(reason=err.reason, step=err.step)
-            flagged.append(entry)
+            flagged.append({"seed": trial_seed, "input": t.word(),
+                            "reason": err.reason, "step": err.step})
             continue
         problems = []
         if got != expected:
@@ -505,7 +504,8 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
                  "got": str(t_def(bk, sigma_letterwise(u_final), k))}
             )
         if problems:
-            entry.update(problems=problems, expected=expected.word(), got=got.word())
+            entry = {"seed": trial_seed, "input": t.word(), "problems": problems,
+                     "expected": expected.word(), "got": got.word()}
             if domain_gap(u, a_k) < sum(shape):
                 entry.update(reason="outside-domain", step=None)
                 flagged.append(entry)

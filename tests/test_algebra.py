@@ -1,13 +1,14 @@
 """Family data: index sets, diagram automorphism, translation sequences."""
 import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from crystal_ca import AlgebraSpec, bar, is_barred
+from crystal_ca import AlgebraSpec, AutomatonState, CrystalElement, Tensor, bar, is_barred
 from crystal_ca.algebra import FAMILIES
 
 
@@ -238,3 +239,32 @@ def test_spec_pickle_across_hash_seeds(tmp_path):
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[1] == "True 1\n"
+
+
+A12 = AlgebraSpec("A1", 2)
+EL = CrystalElement(A12, 2, (1, 1, 0))
+BACKGROUND = CrystalElement(A12, 2, (0, 0, 2))  # delta[a_0] of B_2 at rank 2
+# each record class: valid fields, and an equal record built another way
+RECORDS = [
+    (AlgebraSpec, ("A1", 2, "upper"), lambda: AlgebraSpec("A1", 2)),
+    (CrystalElement, (A12, 2, (1, 1, 0)), lambda: CrystalElement._trusted(A12, 2, (1, 1, 0))),
+    (Tensor, ((EL,),), lambda: Tensor((CrystalElement._trusted(A12, 2, (1, 1, 0)),))),
+    (AutomatonState, (A12, 0, 1, (EL,), (2,)),
+     lambda: AutomatonState(A12, 0, 0, (BACKGROUND, EL, BACKGROUND), (2, 2))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, twin", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_record_contract(cls, fields, twin):
+    rec = cls(*fields)
+    with pytest.raises(AttributeError):
+        setattr(rec, cls.__slots__[0], fields[0])
+    for wrong in ((), fields + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    for other in (twin(), copy.copy(rec), pickle.loads(pickle.dumps(rec))):
+        assert other is not rec and other == rec and hash(other) == hash(rec)
+    assert rec != fields and rec != rec._key()
+    for other_cls, other_fields, _ in RECORDS:
+        if other_cls is not cls:
+            assert rec != other_cls(*other_fields)
