@@ -108,7 +108,7 @@ class AlgebraSpec(Record):
 
     @property
     def d(self) -> int:
-        return _d(self.family, self.rank)
+        return self.translation_data().d
 
     @property
     def coord_letters(self) -> tuple[str, ...]:
@@ -200,19 +200,6 @@ class AlgebraSpec(Record):
 @lru_cache(maxsize=None)
 def _index_set(n: int) -> tuple[int, ...]:
     return tuple(range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _d(family: str, n: int) -> int:
-    return {
-        "A1": n,
-        "A2odd": 2 * n - 1,
-        "A2even": 2 * n,
-        "B1": 2 * n - 1,
-        "C1": 2 * n,
-        "D1": 2 * n - 2,
-        "D2": 2 * n,
-    }[family]
 
 
 def _plain(n: int) -> tuple[str, ...]:

@@ -2,11 +2,12 @@
 
 The package computes the type A1 family directly from coordinates.  Every
 other family is accepted through a crystal-graph file (one f-arrow per line).
-A loaded graph is only admitted after structural checks (arrows form
-color-wise partial matchings without cycles, node set is exactly B_l) and a
-law suite tying it to the operator layer: the delta chain, the e-max chain,
-the t-map closed form with injectivity, the Weyl realization of the diagram
-automorphism, and S_i being an involution.
+Every graph provider checks its arrow structure when it is built (arrows
+form color-wise strings without cycles, node set is exactly B_l).  A loaded
+graph is only admitted after a law suite tying it to the operator layer:
+the delta chain, the e-max chain, the t-map closed form with injectivity,
+the Weyl realization of the diagram automorphism, and S_i being an
+involution.
 """
 from __future__ import annotations
 
@@ -70,51 +71,67 @@ class BuiltinA1:
 class GraphProvider:
     """Rule source answering eps, phi and power from an arrow list for one B_l.
 
-    Every arrow endpoint is validated once, here, so the elements that
-    queries return are built without checks.
+    The arrow structure is checked once, here, for every provider: each
+    endpoint lies in B_l, no element has two arrows of one color coming in,
+    each color's arrows form strings (no cycles), and every element of B_l
+    has some arrow.  One walk down each string checks the last rule and
+    tabulates eps and phi, so queries never walk and the elements that
+    power returns are built without checks.
     """
 
     def __init__(self, family: str, rank: int, l: int,
                  f_edges: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]):
         spec = AlgebraSpec(family, rank)
-        for (color, src), dst in f_edges.items():
+        nodes = {el.x for el in enumerate_crystal(spec, l)}
+        e_edges: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        for (i, src), dst in f_edges.items():
             for x in (src, dst):
-                try:
-                    CrystalElement(spec, l, x)
-                except (ValueError, TypeError) as err:
-                    raise GraphError(
-                        f"arrow {(color, src)} -> {dst}: {x} is not an element of "
-                        f"{family} rank {rank} B_{l}: {err}"
-                    ) from None
+                if not isinstance(x, tuple) or x not in nodes:
+                    raise GraphError(f"arrow {(i, src)} -> {dst}: {x} is not an element "
+                                     f"of {family} rank {rank} B_{l}")
+            if (i, dst) in e_edges:
+                raise GraphError(f"two {i}-arrows into {dst}")
+            e_edges[i, dst] = src
+        eps: dict[tuple[int, tuple[int, ...]], int] = {}
+        phi: dict[tuple[int, tuple[int, ...]], int] = {}
+        for i, head in f_edges:
+            if (i, head) in e_edges:
+                continue
+            string = [head]
+            while (i, string[-1]) in f_edges:
+                string.append(f_edges[i, string[-1]])
+            for k, x in enumerate(string):
+                eps[i, x], phi[i, x] = k, len(string) - 1 - k
+        for i, x in f_edges:
+            if (i, x) not in phi:  # no string head leads here: x lies on a cycle
+                raise GraphError(f"{i}-arrows form a cycle at {x}")
+        unreached = nodes - {x for _i, x in phi}
+        if unreached:
+            raise GraphError(f"{len(unreached)} elements of B_{l} unreached by any arrow")
         self.family = family
         self.rank = rank
         self.l = l
         self._f = f_edges
-        self._e = {(i, dst): src for (i, src), dst in f_edges.items()}
-        self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._phi_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._e = e_edges
+        self._eps = eps
+        self._phi = phi
 
-    def _walk(self, table, cache, i, x):
-        key = (i, x)
-        if key not in cache:
-            n, cur = 0, x
-            while (i, cur) in table:
-                cur = table[(i, cur)]
-                n += 1
-            cache[key] = n
-        return cache[key]
+    def _check_level(self, el: CrystalElement):
+        if el.l != self.l:
+            raise ValueError(f"graph for B_{self.l} asked about a B_{el.l} element")
 
     def eps(self, i: int, el: CrystalElement) -> int:
-        return self._walk(self._e, self._eps_cache, i, el.x)
+        self._check_level(el)
+        return self._eps.get((i, el.x), 0)
 
     def phi(self, i: int, el: CrystalElement) -> int:
-        return self._walk(self._f, self._phi_cache, i, el.x)
+        self._check_level(el)
+        return self._phi.get((i, el.x), 0)
 
     def power(self, i: int, el: CrystalElement, n: int):
         """f_i^n for n > 0, e_i^-n for n < 0: |n| arrows walked, one element
         built at the end, or None when the walk runs out of arrows."""
-        if el.l != self.l:
-            raise ValueError(f"graph for B_{self.l} asked about a B_{el.l} element")
+        self._check_level(el)
         if n == 0:
             return el
         table = self._f if n > 0 else self._e
@@ -245,44 +262,10 @@ def _parse_graph(fh, where: str) -> GraphProvider:
         f_edges[key] = dst.x
     if header is None:
         raise GraphError(f"{where}: empty graph file")
-    _check_structure(header, f_edges, where)
-    return GraphProvider(*header, f_edges)
-
-
-def _check_structure(header, f_edges, where):
-    fam, rank, l = header
-    spec = AlgebraSpec(fam, rank)
-    targets_seen: set[tuple[int, tuple[int, ...]]] = set()
-    for (color, _src), dst in f_edges.items():
-        key = (color, dst)
-        if key in targets_seen:
-            raise GraphError(f"{where}: two {color}-arrows into {dst}")
-        targets_seen.add(key)
-    # no color may admit a cycle
-    for color in spec.index_set:
-        seen_done: set[tuple[int, ...]] = set()
-        for (c, src) in list(f_edges):
-            if c != color or src in seen_done:
-                continue
-            path = []
-            cur = src
-            on_path = set()
-            while (color, cur) in f_edges and cur not in seen_done:
-                if cur in on_path:
-                    raise GraphError(f"{where}: {color}-arrows form a cycle at {cur}")
-                on_path.add(cur)
-                path.append(cur)
-                cur = f_edges[(color, cur)]
-            seen_done.update(path)
-            seen_done.add(cur)
-    nodes = {src for (_c, src) in f_edges} | set(f_edges.values())
-    expected = {el.x for el in enumerate_crystal(spec, l)}
-    missing = expected - nodes
-    extra = nodes - expected
-    if extra:
-        raise GraphError(f"{where}: {len(extra)} nodes outside B_{l}")
-    if missing:
-        raise GraphError(f"{where}: {len(missing)} elements of B_{l} unreached by any arrow")
+    try:
+        return GraphProvider(*header, f_edges)
+    except GraphError as err:
+        raise GraphError(f"{where}: {err}") from None
 
 
 def export_graph_text(bk: Providers, l: int) -> str:

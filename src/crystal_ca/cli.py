@@ -28,6 +28,7 @@ from .crystal import (
     CapExceeded,
     FormatError,
     Tensor,
+    _check_rank_printable,
     enumerate_crystal,
     parse_element,
     parse_tensor,
@@ -47,6 +48,7 @@ from .rmatrix import (
 
 def _backend(args):
     spec = AlgebraSpec(args.algebra, args.rank, args.brace)
+    _check_rank_printable(spec)  # every command reads or prints words: refuse before any work
     return make_backend(spec, tuple(args.crystal_graph))
 
 

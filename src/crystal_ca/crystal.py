@@ -108,7 +108,7 @@ class Tensor(Record):
         if not self.factors:
             raise ValueError("tensor needs at least one factor")
         spec = self.factors[0].spec
-        if any(f.spec != spec for f in self.factors):
+        if any(f.spec is not spec and f.spec != spec for f in self.factors):
             raise ValueError("tensor factors belong to different algebras")
 
     def _key(self):

@@ -97,10 +97,27 @@ def test_graph_provider_validates_arrows(edges, fragment):
         GraphProvider("A1", 1, 2, edges)
 
 
+@pytest.mark.parametrize("l,edges,fragment", [
+    # a 2-cycle on B_1 = {1 = (1, 0), 2 = (0, 1)}: a walk along it never ends
+    (1, {(1, (1, 0)): (0, 1), (1, (0, 1)): (1, 0)}, "1-arrows form a cycle"),
+    # B_2 = {11 = (2, 0), 12 = (1, 1), 22 = (0, 2)}
+    (2, {(1, (2, 0)): (1, 1), (1, (0, 2)): (1, 1)}, r"two 1-arrows into \(1, 1\)"),
+    (2, {(1, (2, 0)): (1, 1)}, "1 elements of B_2 unreached"),
+])
+def test_graph_provider_checks_structure(l, edges, fragment):
+    # built directly, not from a file: the structure rules still hold
+    with pytest.raises(GraphError, match=fragment):
+        GraphProvider("A1", 1, l, edges)
+
+
 def test_graph_provider_rejects_other_levels(tmp_path):
     provider = load_graph(write_graph(tmp_path, "A1 1 1\n1 1 2\n2 0 1\n"))
-    with pytest.raises(ValueError, match="B_1"):
-        provider.power(1, parse_element(A1_1, "11"), 1)
+    other = parse_element(A1_1, "11")
+    for query in (provider.eps, provider.phi):
+        with pytest.raises(ValueError, match="graph for B_1 asked about a B_2"):
+            query(1, other)
+    with pytest.raises(ValueError, match="graph for B_1 asked about a B_2"):
+        provider.power(1, other, 1)
 
 
 def test_export_roundtrip(a1_2):

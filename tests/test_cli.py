@@ -223,6 +223,20 @@ def test_M_below_margin_exit_2(capsys, suite, args, margin):
     assert json.loads(out)["M"] == margin
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorem", "--shape", "1", "--trials", "2", "--seed", "3"),
+    ("verify", "theorem", "--shape", "1", "--trials", "20", "--margin", "0", "--seed", "3"),
+    ("verify", "tmap", "--l", "1"),
+], ids=["theorem-passing", "theorem-flagged", "tmap"])
+def test_unprintable_rank_refused_up_front(capsys, argv):
+    # A1 letters stop fitting one character at rank 9: refused before any
+    # trial runs, whether or not a report would have printed a word
+    code, out, err = run(capsys, *argv, "--algebra", "A1", "--rank", "9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank 9 A1 letters do not fit single characters\n"
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (("verify", "corollary"), "--max-cap", "0"),
     (("verify", "corollary"), "--max-window", "0"),

@@ -138,6 +138,14 @@ def test_tensor_validation():
         Tensor((a, b))
     with pytest.raises(ValueError):
         Tensor(())
+    # equal specs that are distinct objects are one algebra
+    c = CrystalElement(AlgebraSpec("A1", 3), 2, (1, 1, 0, 0))
+    assert c.spec is not a.spec and Tensor((a, c)).shape == (2, 2)
+    # the two braces of A2odd are different algebras
+    upper = parse_element(AlgebraSpec("A2odd", 3, "upper"), "12")
+    lower = parse_element(AlgebraSpec("A2odd", 3, "lower"), "12")
+    with pytest.raises(ValueError, match="different algebras"):
+        Tensor((upper, lower))
 
 
 def test_rank_printability_guard():

@@ -341,8 +341,9 @@ def test_verify_theorem_runs_in_one_thread(a1_2):
 def test_unreached_pairs_detected():
     clear_tables()
     try:
-        empty = GraphProvider("A1", 1, 1, {})
-        bk = Providers(AlgebraSpec("A1", 1), {1: empty})
+        # a structurally valid B_1 with no 0-arrow: its pair crystal reaches 3 of 4 pairs
+        no_wrap = GraphProvider("A1", 1, 1, {(1, (1, 0)): (0, 1)})
+        bk = Providers(AlgebraSpec("A1", 1), {1: no_wrap})
         with pytest.raises(UnreachedElement):
             get_table(bk, 1, 1)
     finally:
