@@ -28,6 +28,7 @@ from .crystal import (
     delta,
     parse_tensor,
     sigma_letterwise_pow,
+    sigma_memo,
     t_def,
     weyl_s,
 )
@@ -333,14 +334,23 @@ def _raise_chain(bk, state: AutomatonState, m: int):
 
 
 def evolve_T_factorized(bk, state: AutomatonState, t: int = 1) -> AutomatonState:
-    """t steps of the evolution as Weyl sweeps plus the automorphism power."""
+    """t steps of the evolution as Weyl sweeps plus the automorphism power.
+
+    The raising sweeps at chain positions k+1..k+t d (the lowering sweeps
+    at k..k+t d+1 for t < 0) are followed by sigma^t on every site, read
+    with one lookup per site from sigma_memo(spec, t); a miss goes through
+    sigma_letterwise_pow, which stores the image.
+    """
     spec, k, d = state.spec, state.k, state.spec.d
     window, start = _raise_chain(bk, state, k + max(t, 0) * d)
     for m in range(k, k + t * d, -1):  # lowering sweeps, for t < 0 only
         window, start = _sweep_lower(
             state, bk, window, start, spec.index_at(m), spec.letter_at(m)
         )
-    window = [sigma_letterwise_pow(b, t) for b in window]
+    if t % spec.sigma_order:
+        # a stored image is an element, never falsy
+        get = sigma_memo(spec, t).get
+        window = [get((b.l, b.x)) or sigma_letterwise_pow(b, t) for b in window]
     return AutomatonState(spec, k, start, tuple(window), state.pattern)
 
 

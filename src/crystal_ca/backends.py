@@ -15,6 +15,7 @@ from .algebra import FAMILIES, AlgebraSpec
 from .crystal import (
     CrystalElement,
     FormatError,
+    _check_rank_printable,
     apply_e,
     delta,
     e_max,
@@ -236,6 +237,7 @@ def _parse_graph(fh, where: str) -> GraphProvider:
                 raise GraphError(f"{where}:{ln}: rank and l must be integers") from None
             try:
                 spec = AlgebraSpec(fam, rank)
+                _check_rank_printable(spec)  # the arrows are written in letters
             except ValueError as err:
                 raise GraphError(f"{where}:{ln}: {err}") from None
             if l < 1:

@@ -72,9 +72,9 @@ class CrystalElement(Record):
         A1 closed form maps B_l (x) B_m onto B_m (x) B_l).
         """
         el = object.__new__(cls)
-        object.__setattr__(el, "spec", spec)
-        object.__setattr__(el, "l", l)
-        object.__setattr__(el, "x", x)
+        _set_spec(el, spec)
+        _set_l(el, l)
+        _set_x(el, x)
         return el
 
     def _key(self):
@@ -97,6 +97,13 @@ class CrystalElement(Record):
 
     def __repr__(self):
         return f"<{self.spec.family} B_{self.l} {''.join(map(str, self.x))}>"
+
+
+# the slot descriptors' setters store a field without the Record's
+# __setattr__ guard, at about half the cost of object.__setattr__
+_set_spec = CrystalElement.spec.__set__
+_set_l = CrystalElement.l.__set__
+_set_x = CrystalElement.x.__set__
 
 
 class Tensor(Record):
@@ -342,11 +349,46 @@ def sigma_letterwise(b: Element) -> Element:
     return CrystalElement._trusted(spec, b.l, spec.slots.sigma(b.x))
 
 
+# (spec, power) -> {(b.l, b.x): sigma^power(b)} for 0 < power < order(sigma).
+# The key carries the whole spec, brace included, because the stored
+# elements carry it.  Only sigma_letterwise_pow fills it, with the elements
+# it is asked about, and clear_tables() empties it.
+_SIGMA_POWS: dict[tuple, dict] = {}
+
+
+def sigma_memo(spec: AlgebraSpec, power: int) -> dict:
+    """The stored images of sigma^power on single elements,
+    {(b.l, b.x): sigma^power(b)}, power taken mod order(sigma);
+    sigma_letterwise_pow fills it."""
+    key = (spec, power % spec.sigma_order)
+    memo = _SIGMA_POWS.get(key)
+    if memo is None:
+        memo = _SIGMA_POWS[key] = {}
+    return memo
+
+
 def sigma_letterwise_pow(b: Element, power: int) -> Element:
+    """sigma^power letterwise; any integer power, taken mod order(sigma).
+
+    Power 0 returns b itself.  Otherwise an element is looked up in
+    sigma_memo(b.spec, power) and, on a miss, built by repeated
+    sigma_letterwise and stored; a tensor is mapped factor by factor.
+    """
     spec = b.spec
-    for _ in range(power % spec.sigma_order):
-        b = sigma_letterwise(b)
-    return b
+    power %= spec.sigma_order
+    if not power:
+        return b
+    if isinstance(b, Tensor):
+        return Tensor(tuple([sigma_letterwise_pow(f, power) for f in b.factors]))
+    memo = sigma_memo(spec, power)
+    key = (b.l, b.x)
+    img = memo.get(key)
+    if img is None:
+        img = b
+        for _ in range(power):
+            img = sigma_letterwise(img)
+        memo[key] = img
+    return img
 
 
 def sigma_via_weyl(bk, b: Element, k: int = 0) -> Element:

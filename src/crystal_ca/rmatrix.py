@@ -30,6 +30,7 @@ from collections import deque
 
 from .algebra import AlgebraSpec, bar, is_barred
 from .crystal import (
+    _SIGMA_POWS,
     CrystalElement,
     Tensor,
     delta,
@@ -161,10 +162,12 @@ def _build_table(bk, l: int, m: int) -> dict:
 
 
 def clear_tables():
-    """Forget every swap table and every memoized swap."""
+    """Forget every swap table, every memoized swap and every stored power
+    of the automorphism."""
     _TABLES.clear()
     _PAIRS.clear()
     _INF_PAIRS.clear()
+    _SIGMA_POWS.clear()
 
 
 # ---------------------------------------------------------------------------

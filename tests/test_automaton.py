@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crystal_ca import automaton, rmatrix
+from crystal_ca import automaton, crystal, rmatrix
 from crystal_ca import (
     AlgebraSpec,
     AutomatonState,
@@ -13,6 +13,7 @@ from crystal_ca import (
     column_diagram_check,
     delta,
     dual_vertex_step,
+    enumerate_crystal,
     evolve_T,
     evolve_T_factorized,
     evolve_carrier,
@@ -181,6 +182,26 @@ def test_multi_step_and_inverse(a1_1):
     assert evolve_T_factorized(a1_1, s, 2) == two
     assert evolve_T_factorized(a1_1, two, -2) == s
     assert evolve_T_factorized(a1_1, s, 0) == s
+
+
+def test_sigma_memo_holds_only_the_line_capacities(a1_3):
+    # sigma^t is stored per element of the capacities the lines carry, so
+    # the memo of each power stays within B_1 and B_2, never a table of B_M
+    clear_tables()
+    rng = random.Random(5)
+    pattern = (2, 1)
+    for _ in range(200):
+        s = random_state(A13, rng, pattern, rng.randrange(4), 0, 12)
+        for t in (1, -1):
+            evolve_T_factorized(a1_3, s, t)
+    bound = sum(len(enumerate_crystal(A13, l)) for l in pattern)
+    for power in (1, -1):
+        memo = crystal.sigma_memo(A13, power)
+        assert 0 < len(memo) <= bound
+        assert {l for l, _ in memo} == set(pattern)
+    assert len(crystal._SIGMA_POWS) == 2
+    clear_tables()
+    assert not crystal._SIGMA_POWS
 
 
 @pytest.mark.parametrize("t", [1, -1])

@@ -367,6 +367,15 @@ def test_graph_check_tampered_exit_1(tmp_path, capsys):
     assert "admission failed" in err
 
 
+def test_graph_check_unprintable_rank_names_header(tmp_path, capsys):
+    # the header's rank is refused on line 1, before any arrow is read
+    path = tmp_path / "rank9.graph"
+    path.write_text("A1 9 1\n1 1 2\n")
+    code, out, err = run(capsys, "graph", "check", str(path))
+    assert code == 1 and out == ""
+    assert err == f"{path}:1: rank 9 A1 letters do not fit single characters\n"
+
+
 def test_graph_check_not_utf8_exit_1(tmp_path, capsys):
     # undecodable bytes are a malformed graph like any other, named by path
     path = tmp_path / "binary.graph"
@@ -446,6 +455,13 @@ def test_import_loads_no_thread_pool():
                             f"print([m for m in {NOT_LOADED_BY_IMPORT!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_leaves_sigma_memo_empty():
+    # the memo of sigma powers fills on first use, never at import
+    proc = run_python("-c", "import crystal_ca; print(crystal_ca.crystal._SIGMA_POWS)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{}\n"
 
 
 def test_console_script_end_to_end():

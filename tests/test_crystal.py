@@ -10,6 +10,7 @@ from crystal_ca import (
     Tensor,
     apply_e,
     apply_f,
+    clear_tables,
     delta,
     e_max,
     enumerate_crystal,
@@ -236,6 +237,31 @@ def test_sigma_pow(a1_2):
                     out = sigma_letterwise(el)
                     assert CrystalElement(out.spec, out.l, out.x) == out
                     assert sigma_letterwise_pow(el, spec.sigma_order) == el
+
+
+def test_sigma_pow_memo_matches_plain_map():
+    # the stored powers agree with repeated one-step maps, and a memo keyed
+    # without the brace would hand a lower-brace element an upper image
+    clear_tables()
+    for fam in FAMILIES:
+        for brace in ("upper", "lower"):
+            spec = AlgebraSpec(fam, _MIN_RANK[fam], brace)
+            order = spec.sigma_order
+            for l in (1, 2, 3):
+                els = enumerate_crystal(spec, l)
+                for power in range(-order, 2 * order + 1):
+                    for el in els:
+                        want = el
+                        for _ in range(power % order):
+                            want = sigma_letterwise(want)
+                        got = sigma_letterwise_pow(el, power)
+                        assert got == want and got.spec == spec
+                        if power % order == 0:
+                            assert got is el
+                    t = Tensor(tuple(els[:3]))
+                    assert sigma_letterwise_pow(t, power) == Tensor(
+                        tuple(sigma_letterwise_pow(f, power) for f in t.factors))
+    clear_tables()
 
 
 def test_sigma_intertwines_operators(a1_2):

@@ -213,6 +213,23 @@ def test_yang_baxter_spot(a1_1):
     assert cases == 2 * 3 * 3 and mismatches == 0
 
 
+def test_yang_baxter_counts_mismatches(monkeypatch, a1_1):
+    # the plain transposition on B_1 (x) B_1, where R is the identity, breaks
+    # the braid identity on B_1 (x) B_1 (x) B_2
+    real = rmatrix.r_elementary
+
+    def swap(bk, a, b):
+        return (b, a) if a.l == b.l == 1 else real(bk, a, b)
+
+    clear_tables()
+    monkeypatch.setattr(rmatrix, "r_elementary", swap)
+    try:
+        cases, mismatches = yang_baxter_check(a1_1, (1, 1, 2))
+    finally:
+        clear_tables()
+    assert cases == 2 * 2 * 3 and mismatches == 6
+
+
 def test_factorized_frozen_example(a1_3):
     t = parse_tensor(A1_3, "111223.344")
     image, states = r_factorized(a1_3, t, k=3, margin=1)
