@@ -9,8 +9,9 @@ n < 0, so e_i and f_i are the powers 1 and -1).  Everything else here
 delta, the t-map) is derived from those queries.
 
 Elements are validated where they enter from outside (the parsers,
-from_counts, enumeration); elements the package derives from valid ones are
-built with CrystalElement._trusted and not checked again.
+from_counts, enumeration); elements and tensors the package derives from
+valid ones are built with CrystalElement._trusted and Tensor._trusted and
+not checked again.
 """
 from __future__ import annotations
 
@@ -118,6 +119,18 @@ class Tensor(Record):
         if any(f.spec is not spec and f.spec != spec for f in self.factors):
             raise ValueError("tensor factors belong to different algebras")
 
+    @classmethod
+    def _trusted(cls, factors: tuple[CrystalElement, ...]) -> Tensor:
+        """A tensor built without the checks of __post_init__.
+
+        Only for factors derived from a valid tensor by a rule that keeps
+        their count and common algebra: operator images, the automorphism,
+        and R swaps.
+        """
+        t = object.__new__(cls)
+        _set_factors(t, factors)
+        return t
+
     def _key(self):
         return self.factors
 
@@ -135,6 +148,8 @@ class Tensor(Record):
     def __repr__(self):
         return f"<tensor {self.word()}>"
 
+
+_set_factors = Tensor.factors.__set__
 
 Element = CrystalElement | Tensor
 
@@ -286,7 +301,7 @@ def _power(bk, i: int, b: Element, n: int, sig=None):
             return None
         left -= c
         if not left:
-            return Tensor(tuple(out))
+            return Tensor._trusted(tuple(out))
     return None
 
 
@@ -344,7 +359,7 @@ def sigma_letterwise(b: Element) -> Element:
     It only permutes slots, so the image of a valid element is valid.
     """
     if isinstance(b, Tensor):
-        return Tensor(tuple(sigma_letterwise(f) for f in b.factors))
+        return Tensor._trusted(tuple([sigma_letterwise(f) for f in b.factors]))
     spec = b.spec
     return CrystalElement._trusted(spec, b.l, spec.slots.sigma(b.x))
 
@@ -379,7 +394,7 @@ def sigma_letterwise_pow(b: Element, power: int) -> Element:
     if not power:
         return b
     if isinstance(b, Tensor):
-        return Tensor(tuple([sigma_letterwise_pow(f, power) for f in b.factors]))
+        return Tensor._trusted(tuple([sigma_letterwise_pow(f, power) for f in b.factors]))
     memo = sigma_memo(spec, power)
     key = (b.l, b.x)
     img = memo.get(key)

@@ -289,6 +289,17 @@ def test_evolve_T_limit_guard(a1_1, a1_1_graph):
         assert M_used == M_settled and out.window_start == 2
 
 
+def test_infinite_carrier_tail_budget(a1_1):
+    # at offset 0 the background letter is 2: the carrier picks up both 1s
+    # and needs two background sites past the window to put them down
+    s = parse_state(A11, 0, "1.1")
+    for budget in (0, 1):
+        with pytest.raises(CapExceeded, match=f"infinite carrier did not return "
+                                              f"to rest within {budget} extra sites"):
+            automaton._evolve_infinite(s, budget)
+    assert automaton._evolve_infinite(s, 2) == evolve_T(a1_1, s)[0]
+
+
 def test_evolve_T_past_the_capacity_limit(a1_1, a1_1_graph):
     # a soliton of deviation 600: the one pass needs no capacity limit, while
     # the doubling, which starts at M = 600, gives up at M_limit = 512

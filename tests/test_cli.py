@@ -458,10 +458,12 @@ def test_import_loads_no_thread_pool():
 
 
 def test_import_leaves_sigma_memo_empty():
-    # the memo of sigma powers fills on first use, never at import
-    proc = run_python("-c", "import crystal_ca; print(crystal_ca.crystal._SIGMA_POWS)")
+    # the memo of sigma powers and the partner pools fill on first use,
+    # never at import
+    proc = run_python("-c", "import crystal_ca; "
+                            "print(crystal_ca.crystal._SIGMA_POWS, crystal_ca.rmatrix._POOLS)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{}\n"
+    assert proc.stdout == "{} {}\n"
 
 
 def test_console_script_end_to_end():

@@ -23,6 +23,7 @@ from crystal_ca import (
     delta,
     domain_gap,
     enumerate_crystal,
+    eps,
     evolve_T,
     get_table,
     in_domain,
@@ -30,15 +31,18 @@ from crystal_ca import (
     parse_element,
     parse_state,
     parse_tensor,
+    phi,
     r_composite,
     r_elementary,
     r_factorized,
     sample_domain_element,
     sigma_letterwise,
+    t_def,
     verify_theorem,
+    weyl_s,
     yang_baxter_check,
 )
-from crystal_ca.rmatrix import _build_table
+from crystal_ca.rmatrix import _build_table, _scramble, auto_capacity
 
 A1_1 = AlgebraSpec("A1", 1)
 A1_2 = AlgebraSpec("A1", 2)
@@ -264,6 +268,60 @@ def test_factorized_needs_two_factors(a1_3):
         r_factorized(a1_3, Tensor((parse_element(A1_3, "112"),)))
 
 
+def _reference_chain(bk, t, k, margin):
+    """r_factorized written with the public eps, phi and weyl_s, one
+    signature pass per call: the reference for its single-pass steps."""
+    u = t.factors[0]
+    spec = u.spec
+    if not in_domain(u, spec.letter_at(k), margin):
+        raise InapplicableError("domain", "")
+    cur, states = t, [t]
+    for m in range(k + 1, k + spec.d + 1):
+        i = spec.index_at(m)
+        if eps(bk, i, cur) <= phi(bk, i, cur):
+            raise InapplicableError("orientation", "", step=m, states=tuple(states))
+        cur = weyl_s(bk, i, cur)
+        if eps(bk, i, cur) != bk.eps(i, cur.factors[0]):
+            raise InapplicableError("locality", "", step=m, states=tuple(states))
+        states.append(cur)
+    moved = cur.factors[1:] + cur.factors[:1]
+    return Tensor(tuple(sigma_letterwise(f) for f in moved)), tuple(states)
+
+
+def _chain_outcome(chain, bk, t, k, margin):
+    try:
+        image, states = chain(bk, t, k, margin)
+    except InapplicableError as err:
+        return err.reason, err.step, err.states
+    return "applied", image, states
+
+
+@pytest.mark.parametrize("backend", ["a1_1", "a1_2", "a1_3", "a1_1_graph"])
+def test_factorized_matches_reference_chain(request, backend):
+    # margin-0 draws, half scrambled as in verify_theorem's control mode, run
+    # with the domain test on (margin 0) and off (margin -M); partners of up
+    # to twice M's load make the chain refuse by orientation and by locality
+    bk = request.getfixturevalue(backend)
+    spec = bk.spec
+    M = auto_capacity(spec, 0)
+    rng = random.Random(2)
+    seen = {"applied": 0, "domain": 0, "orientation": 0, "locality": 0}
+    for shape in [(1,), (2, 1), (1, 2, 3), (3, 3)]:
+        pools = [enumerate_crystal(spec, l) for l in shape]
+        for k in range(spec.d + 1):
+            for _ in range(30):
+                u = sample_domain_element(spec, M, spec.letter_at(k), 0, rng)
+                if rng.random() < 0.5:
+                    u = _scramble(u, rng)
+                t = Tensor((u,) + tuple(rng.choice(pool) for pool in pools))
+                for margin in (0, -M):
+                    got = _chain_outcome(r_factorized, bk, t, k, margin)
+                    assert got == _chain_outcome(_reference_chain, bk, t, k, margin), (
+                        t.word(), k, margin)
+                    seen[got[0]] += 1
+    assert all(seen.values()), seen
+
+
 def test_domain_gap_values():
     u = parse_element(A1_3, "111223")
     assert domain_gap(u, "1") == 1
@@ -353,6 +411,73 @@ def test_verify_theorem_runs_in_one_thread(a1_2):
     for jobs in (0, 2):
         with pytest.raises(ValueError, match=f"jobs must be 1, got {jobs}"):
             verify_theorem(a1_2, (2, 1), k=2, trials=24, seed=3, jobs=jobs)
+
+
+@pytest.mark.parametrize("check, on", [("phi-left", CrystalElement), ("chain-eps", Tensor)])
+def test_verify_theorem_step_detectors_fire(monkeypatch, a1_2, check, on):
+    # the chain reads no rmatrix.phi: a phi off by one on single elements
+    # reaches only the phi-left check, and on tensors only chain-eps
+    real = rmatrix.phi
+    monkeypatch.setattr(rmatrix, "phi", lambda bk, i, b: real(bk, i, b) + isinstance(b, on))
+    report = verify_theorem(a1_2, (2, 1), k=1, trials=6, seed=7)
+    assert report["passes"] == report["flagged"] == 0
+    shift = 1 if check == "chain-eps" else -1
+    assert len(report["failures"]) == 6
+    for entry in report["failures"]:
+        assert entry["expected"] == entry["got"]
+        assert [(p["check"], p["step"], int(p["expected"]) - int(p["got"]))
+                for p in entry["problems"]] == [(check, 1 + j, shift)
+                                                for j in range(1, A1_2.d + 1)]
+
+
+def test_verify_theorem_t_final_fires(monkeypatch, a1_2):
+    # a chain whose image is right but whose last state is not: its first
+    # factor, under sigma, is no longer the oracle's last factor
+    real = rmatrix.r_factorized
+    tampered = []
+
+    def chain(bk, t, k=0, margin=None):
+        image, states = real(bk, t, k=k, margin=margin)
+        last = states[-1]
+        u = last.factors[0]
+        other = next(v for v in enumerate_crystal(u.spec, u.l) if v != u)
+        tampered.append((r_composite(bk, t).factors[-1], sigma_letterwise(other)))
+        return image, states[:-1] + (Tensor((other,) + last.factors[1:]),)
+
+    monkeypatch.setattr(rmatrix, "r_factorized", chain)
+    report = verify_theorem(a1_2, (2, 1), k=2, trials=6, seed=4)
+    assert report["passes"] == report["flagged"] == 0
+    assert len(report["failures"]) == len(tampered) == 6
+    for entry, (v_oracle, u_final) in zip(report["failures"], tampered):
+        assert entry["expected"] == entry["got"]
+        assert entry["problems"][-1] == {
+            "check": "t-final", "expected": str(t_def(a1_2, v_oracle, 2)),
+            "got": str(t_def(a1_2, u_final, 2))}
+
+
+def test_verify_theorem_pools_cold_warm_and_cleared(a1_2):
+    # partners are drawn from pools enumerated once per (spec, l), in
+    # enumerate_crystal's order, so a seed draws the same partners whether
+    # the pools are cold, warm or rebuilt after clear_tables()
+    def run():
+        return verify_theorem(a1_2, (2, 1, 2), k=1, trials=40, seed=13, margin=0)
+
+    clear_tables()
+    try:
+        assert rmatrix._POOLS == {}
+        cold = run()
+        assert sorted(l for _, l in rmatrix._POOLS) == [1, 2]
+        for (spec, l), pool in rmatrix._POOLS.items():
+            assert spec == A1_2 and pool == tuple(enumerate_crystal(A1_2, l))
+        pools = dict(rmatrix._POOLS)
+        warm = run()
+        assert all(rmatrix._POOLS[key] is pool for key, pool in pools.items())
+        clear_tables()
+        assert rmatrix._POOLS == {}
+        assert run() == warm == cold
+        assert cold["flagged"] and cold["passes"]
+    finally:
+        clear_tables()
 
 
 def test_unreached_pairs_detected():
