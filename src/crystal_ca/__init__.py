@@ -31,6 +31,7 @@ from .crystal import (
     Tensor,
     apply_e,
     apply_f,
+    clear_tables,
     delta,
     e_max,
     enumerate_crystal,
@@ -52,7 +53,6 @@ from .rmatrix import (
     RMatrixError,
     UnreachedElement,
     apply_r_at,
-    clear_tables,
     domain_gap,
     get_table,
     in_domain,

@@ -26,15 +26,14 @@ from .crystal import (
     CrystalElement,
     Tensor,
     delta,
+    memo,
     parse_tensor,
     sigma_letterwise_pow,
-    sigma_memo,
     t_def,
     weyl_s,
 )
 from .rmatrix import (
     has_closed_form,
-    infinite_memo,
     r_elementary,
     r_factorized,
     r_infinite,
@@ -263,7 +262,7 @@ def _evolve_infinite(state: AutomatonState, budget: int) -> AutomatonState:
     spec, pat = state.spec, state.pattern
     a = state.background_letter
     p = spec.slots.index[a]
-    get = infinite_memo(spec, p).get
+    get = memo("inf", spec, p).get
     backs = [delta(spec, c, a) for c in pat]  # the background site per phase
     period = len(pat)
     rest = car = (0,) * len(backs[0].x)
@@ -338,8 +337,8 @@ def evolve_T_factorized(bk, state: AutomatonState, t: int = 1) -> AutomatonState
 
     The raising sweeps at chain positions k+1..k+t d (the lowering sweeps
     at k..k+t d+1 for t < 0) are followed by sigma^t on every site, read
-    with one lookup per site from sigma_memo(spec, t); a miss goes through
-    sigma_letterwise_pow, which stores the image.
+    with one lookup per site from the ("sigma", spec, t mod order) memo; a
+    miss goes through sigma_letterwise_pow, which stores the image.
     """
     spec, k, d = state.spec, state.k, state.spec.d
     window, start = _raise_chain(bk, state, k + max(t, 0) * d)
@@ -349,7 +348,7 @@ def evolve_T_factorized(bk, state: AutomatonState, t: int = 1) -> AutomatonState
         )
     if t % spec.sigma_order:
         # a stored image is an element, never falsy
-        get = sigma_memo(spec, t).get
+        get = memo("sigma", spec, t % spec.sigma_order).get
         window = [get((b.l, b.x)) or sigma_letterwise_pow(b, t) for b in window]
     return AutomatonState(spec, k, start, tuple(window), state.pattern)
 

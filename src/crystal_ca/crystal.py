@@ -33,6 +33,35 @@ class CapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# memos of derived data
+
+# Every memo of derived data, under its name and its own key:
+#   ("tables", family, rank, bk.identity)  (l, m) -> swap table of B_l (x) B_m
+#   ("swaps", spec, bk.identity, l, m)     (a.x, b.x) -> (b~, a~)
+#   ("inf", spec, p)                       (carrier x, b.x) -> (b~, carrier x~)
+#   ("sigma", spec, power mod order)       (b.l, b.x) -> sigma^power(b)
+#   ("pools", spec)                        l -> every element of B_l
+# Memos that store elements key on the whole spec, brace included, as the
+# elements carry it; tables hold coordinates only.  Only the builtin A1
+# rules reach "inf", so its key needs no backend identity.
+_MEMOS: dict[tuple, dict] = {}
+
+
+def memo(*key) -> dict:
+    """The memo under key, stored empty on first use and kept until
+    clear_tables(); its owner fills it with a plain lookup and store."""
+    found = _MEMOS.get(key)
+    if found is None:
+        found = _MEMOS[key] = {}
+    return found
+
+
+def clear_tables():
+    """Forget every memo in the store."""
+    _MEMOS.clear()
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 
@@ -341,12 +370,18 @@ def f_max(bk, i: int, b: Element) -> Element:
     return _power(bk, i, b, _size(sig[1]), sig)
 
 
+def weyl_step(bk, i: int, t: Tensor) -> tuple[int, int, Tensor]:
+    """eps_i(t), phi_i(t) and the Weyl image of a tensor, from one signature pass."""
+    sig = _signature(bk, i, t.factors)
+    e, p = _size(sig[0]), _size(sig[1])
+    return e, p, _power(bk, i, t, p - e, sig)
+
+
 def weyl_s(bk, i: int, b: Element) -> Element:
     """Weyl group operator: the f- or e-power equalizing phi and eps."""
     if isinstance(b, CrystalElement):
         return _power(bk, i, b, bk.phi(i, b) - bk.eps(i, b))
-    sig = _signature(bk, i, b.factors)
-    return _power(bk, i, b, _size(sig[1]) - _size(sig[0]), sig)
+    return weyl_step(bk, i, b)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +399,11 @@ def sigma_letterwise(b: Element) -> Element:
     return CrystalElement._trusted(spec, b.l, spec.slots.sigma(b.x))
 
 
-# (spec, power) -> {(b.l, b.x): sigma^power(b)} for 0 < power < order(sigma).
-# The key carries the whole spec, brace included, because the stored
-# elements carry it.  Only sigma_letterwise_pow fills it, with the elements
-# it is asked about, and clear_tables() empties it.
-_SIGMA_POWS: dict[tuple, dict] = {}
-
-
-def sigma_memo(spec: AlgebraSpec, power: int) -> dict:
-    """The stored images of sigma^power on single elements,
-    {(b.l, b.x): sigma^power(b)}, power taken mod order(sigma);
-    sigma_letterwise_pow fills it."""
-    key = (spec, power % spec.sigma_order)
-    memo = _SIGMA_POWS.get(key)
-    if memo is None:
-        memo = _SIGMA_POWS[key] = {}
-    return memo
-
-
 def sigma_letterwise_pow(b: Element, power: int) -> Element:
     """sigma^power letterwise; any integer power, taken mod order(sigma).
 
-    Power 0 returns b itself.  Otherwise an element is looked up in
-    sigma_memo(b.spec, power) and, on a miss, built by repeated
+    Power 0 returns b itself.  Otherwise an element is looked up in the
+    ("sigma", b.spec, power mod order) memo and, on a miss, built by repeated
     sigma_letterwise and stored; a tensor is mapped factor by factor.
     """
     spec = b.spec
@@ -395,14 +412,14 @@ def sigma_letterwise_pow(b: Element, power: int) -> Element:
         return b
     if isinstance(b, Tensor):
         return Tensor._trusted(tuple([sigma_letterwise_pow(f, power) for f in b.factors]))
-    memo = sigma_memo(spec, power)
+    images = memo("sigma", spec, power)
     key = (b.l, b.x)
-    img = memo.get(key)
+    img = images.get(key)
     if img is None:
         img = b
         for _ in range(power):
             img = sigma_letterwise(img)
-        memo[key] = img
+        images[key] = img
     return img
 
 

@@ -20,8 +20,8 @@ pass them and still be wrong.  The chain's states are returned with the
 image.  verify_theorem races the two forms on random inputs and also checks
 the intermediate-state laws the factorized form relies on.
 
-Everything runs in one thread: every memo is a plain get-then-store, and
-no lock guards it.
+Everything runs in one thread: every memo (crystal.memo) is a plain
+get-then-store, and no lock guards it.
 """
 from __future__ import annotations
 
@@ -29,19 +29,18 @@ import random
 from collections import deque
 
 from .algebra import AlgebraSpec, bar, is_barred
-from .crystal import (
-    _SIGMA_POWS,
+from .crystal import (  # clear_tables is re-exported
     CrystalElement,
     Tensor,
-    _power,
-    _signature,
-    _size,
+    clear_tables,
     delta,
     enumerate_crystal,
     eps,
+    memo,
     phi,
     sigma_letterwise,
     t_def,
+    weyl_step,
 )
 
 
@@ -73,20 +72,17 @@ class InapplicableError(RuntimeError):
 # ---------------------------------------------------------------------------
 # oracle tables
 
-_TABLES: dict[tuple, dict] = {}
-
-
 def get_table(bk, l: int, m: int) -> dict:
     """The swap table B_l (x) B_m -> B_m (x) B_l keyed on coordinate pairs,
-    built once per structure source (bk.identity) and memoized in memory."""
+    built once per structure source (bk.identity) and stored once complete."""
     spec = bk.spec
-    key = (spec.family, spec.rank, bk.identity, l, m)
-    table = _TABLES.get(key)
+    tables = memo("tables", spec.family, spec.rank, bk.identity)
+    table = tables.get((l, m))
     if table is None:
         # a level no backend covers is named before B_l or B_m is enumerated
         bk.provider_for(l)
         bk.provider_for(m)
-        table = _TABLES[key] = _build_table(bk, l, m)
+        table = tables[l, m] = _build_table(bk, l, m)
     return table
 
 
@@ -163,28 +159,8 @@ def _build_table(bk, l: int, m: int) -> dict:
     return table
 
 
-def clear_tables():
-    """Forget every swap table, every memoized swap, every stored power of
-    the automorphism and every partner pool."""
-    _TABLES.clear()
-    _PAIRS.clear()
-    _INF_PAIRS.clear()
-    _SIGMA_POWS.clear()
-    _POOLS.clear()
-
-
 # ---------------------------------------------------------------------------
 # swaps
-
-# (spec, bk.identity, l, m) -> {(a.x, b.x): (b~, a~)}.  The key carries the
-# whole spec because the stored elements carry it.
-_PAIRS: dict[tuple, dict] = {}
-
-# (spec, p) -> {(carrier x, b.x): (b~, carrier x~)} for the A1 carrier of
-# infinite capacity in slot p; its slot p reads 0.  Only the builtin rules
-# reach it, so the key needs no backend identity.
-_INF_PAIRS: dict[tuple, dict] = {}
-
 
 def has_closed_form(bk) -> bool:
     """Whether swaps on this backend come from the A1 closed form."""
@@ -225,22 +201,12 @@ def _a1_swap(x: tuple[int, ...], y: tuple[int, ...],
             tuple(0 if i == p else x[i] + q[i] - q[i - 1] for i in range(n)))
 
 
-def infinite_memo(spec: AlgebraSpec, p: int) -> dict:
-    """The stored swaps of the A1 carrier of infinite capacity in slot p,
-    {(carrier x, b.x): (b~, carrier x~)}; r_infinite fills it."""
-    key = (spec, p)
-    memo = _INF_PAIRS.get(key)
-    if memo is None:
-        memo = _INF_PAIRS[key] = {}
-    return memo
-
-
 def r_infinite(spec: AlgebraSpec, p: int, car: tuple[int, ...],
                b: CrystalElement) -> tuple[CrystalElement, tuple[int, ...]]:
     """Swap the infinite carrier car (slot p read as infinite) past site b
-    of A1 by the closed form, and store the pair in infinite_memo."""
+    of A1 by the closed form, and store the pair in its memo."""
     y, car2 = _a1_swap(car, b.x, p)
-    pair = infinite_memo(spec, p)[(car, b.x)] = (
+    pair = memo("inf", spec, p)[(car, b.x)] = (
         CrystalElement._trusted(spec, b.l, y), car2)
     return pair
 
@@ -250,15 +216,14 @@ def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalEleme
 
     Each pair is computed once per (algebra, backend, levels) and the stored
     elements are returned from then on: by the closed form for A1 on the
-    builtin rules, and from the swap table for every other backend.
+    builtin rules, and from the swap table for every other backend.  A
+    stored table holds every pair of valid elements, so a pair it lacks is
+    an element built wrongly inside the package: an internal fault.
     """
     spec = bk.spec
-    key = (spec, bk.identity, a.l, b.l)
-    memo = _PAIRS.get(key)
-    if memo is None:
-        memo = _PAIRS[key] = {}
+    pairs = memo("swaps", spec, bk.identity, a.l, b.l)
     xy = (a.x, b.x)
-    pair = memo.get(xy)
+    pair = pairs.get(xy)
     if pair is None:
         if has_closed_form(bk):
             ym, yl = _a1_swap(a.x, b.x)
@@ -266,10 +231,10 @@ def r_elementary(bk, a: CrystalElement, b: CrystalElement) -> tuple[CrystalEleme
             try:
                 ym, yl = get_table(bk, a.l, b.l)[xy]
             except KeyError:
-                raise UnreachedElement(
-                    f"pair {a.word()}.{b.word()} missing from R table") from None
-        pair = memo[xy] = (CrystalElement._trusted(spec, b.l, ym),
-                           CrystalElement._trusted(spec, a.l, yl))
+                raise AssertionError(
+                    f"pair {a.word()}.{b.word()} missing from a complete R table") from None
+        pair = pairs[xy] = (CrystalElement._trusted(spec, b.l, ym),
+                            CrystalElement._trusted(spec, a.l, yl))
     return pair
 
 
@@ -364,9 +329,7 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
     for j in range(1, spec.d + 1):
         m = k + j
         i = spec.index_at(m)
-        # one signature pass gives eps, phi and the Weyl image (weyl_s's body)
-        sig = _signature(bk, i, cur.factors)
-        eb, pb = _size(sig[0]), _size(sig[1])
+        eb, pb, stepped = weyl_step(bk, i, cur)
         if eb <= pb:
             raise InapplicableError(
                 "orientation",
@@ -375,7 +338,7 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
                 step=m,
                 states=tuple(states),
             )
-        cur = _power(bk, i, cur, pb - eb, sig)
+        cur = stepped
         ea = eps(bk, i, cur)
         eau = bk.eps(i, cur.factors[0])
         if ea != eau:
@@ -394,21 +357,6 @@ def r_factorized(bk, t: Tensor, k: int = 0, margin: int | None = None):
 
 # ---------------------------------------------------------------------------
 # sampling and the verification suite
-
-
-# (spec, l) -> every element of B_l, in enumerate_crystal's order: the pool
-# verify_theorem draws partners from.  clear_tables() empties it.
-_POOLS: dict[tuple, tuple] = {}
-
-
-def partner_pool(spec: AlgebraSpec, l: int) -> tuple[CrystalElement, ...]:
-    """The elements of B_l in enumerate_crystal's order, enumerated once per
-    (spec, l) and kept until clear_tables()."""
-    key = (spec, l)
-    pool = _POOLS.get(key)
-    if pool is None:
-        pool = _POOLS[key] = tuple(enumerate_crystal(spec, l))
-    return pool
 
 
 def auto_capacity(spec: AlgebraSpec, margin: int) -> int:
@@ -479,7 +427,12 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
     if M is None:
         M = auto_capacity(spec, margin)
     a_k = spec.letter_at(k)
-    pools = {l: partner_pool(spec, l) for l in set(shape)}
+    # every element of B_l in enumeration order, so a seed draws alike on
+    # cold or warm pools
+    pools = memo("pools", spec)
+    for l in set(shape):
+        if l not in pools:
+            pools[l] = tuple(enumerate_crystal(spec, l))
     colors = [spec.index_at(k + j) for j in range(1, spec.d + 1)]
 
     passes, flagged, failures = 0, [], []

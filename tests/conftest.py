@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from crystal_ca import AlgebraSpec, AutomatonState, enumerate_crystal, make_backend
+from crystal_ca import AlgebraSpec, AutomatonState, crystal, enumerate_crystal, make_backend
 
 # one line per acceptance criterion, filled by test_acceptance.py
 ACCEPTANCE: list[str] = []
@@ -13,6 +13,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE:
             terminalreporter.write_line(line)
+
+
+def memos(name):
+    """The memos of the package's one store under a name, keyed by the rest
+    of their keys; read without creating any."""
+    return {key[1:]: m for key, m in crystal._MEMOS.items() if key[0] == name}
 
 
 _pool = lru_cache(maxsize=None)(enumerate_crystal)  # one pool per (spec, capacity)

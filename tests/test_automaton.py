@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crystal_ca import automaton, crystal, rmatrix
+from crystal_ca import automaton
 from crystal_ca import (
     AlgebraSpec,
     AutomatonState,
@@ -25,7 +25,7 @@ from crystal_ca import (
     vertex_step,
 )
 
-from conftest import random_state
+from conftest import memos, random_state
 
 A11 = AlgebraSpec("A1", 1)
 A13 = AlgebraSpec("A1", 3)
@@ -195,13 +195,13 @@ def test_sigma_memo_holds_only_the_line_capacities(a1_3):
         for t in (1, -1):
             evolve_T_factorized(a1_3, s, t)
     bound = sum(len(enumerate_crystal(A13, l)) for l in pattern)
-    for power in (1, -1):
-        memo = crystal.sigma_memo(A13, power)
-        assert 0 < len(memo) <= bound
-        assert {l for l, _ in memo} == set(pattern)
-    assert len(crystal._SIGMA_POWS) == 2
+    stored = memos("sigma")
+    assert sorted(stored) == sorted((A13, t % A13.sigma_order) for t in (1, -1))
+    for images in stored.values():
+        assert 0 < len(images) <= bound
+        assert {l for l, _ in images} == set(pattern)
     clear_tables()
-    assert not crystal._SIGMA_POWS
+    assert memos("sigma") == {}
 
 
 @pytest.mark.parametrize("t", [1, -1])
@@ -323,7 +323,7 @@ def test_evolve_T_large_carrier_without_tables():
         out, M = evolve_T(bk, s, M_limit=512)
         assert M >= s.deviation() >= 64
         assert out == evolve_T_factorized(bk, s, 1)
-        assert rmatrix._TABLES == {}
+        assert memos("tables") == {}
     finally:
         clear_tables()
 

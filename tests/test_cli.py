@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from crystal_ca import AlgebraSpec, AutomatonState, automaton, cli, rmatrix
+from crystal_ca import clear_tables, make_backend, parse_element
 from crystal_ca.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -350,6 +352,95 @@ def test_verify_columns(capsys):
     assert doc["passes"] + doc["flagged"] == 10 and doc["failures"] == []
 
 
+def _shifted(state, by):
+    return AutomatonState(state.spec, state.k, state.window_start + by, state.window,
+                          state.pattern)
+
+
+def _factorized_off_by_one_site(monkeypatch):
+    # one step lands one site too far right and its inverse undoes that, so
+    # only the comparison with the carrier step can see it
+    real = cli.evolve_T_factorized
+
+    def step(bk, state, t):
+        if t == 1:
+            return _shifted(real(bk, state, 1), 1)
+        return real(bk, _shifted(state, -1) if t == -1 else state, t)
+    monkeypatch.setattr(cli, "evolve_T_factorized", step)
+
+
+def _fine_stuck_at(steps):
+    # evolve_fine leaves the line as it is at chain position k + steps d
+    real = cli.evolve_fine
+    return lambda bk, state, m: (state if m == state.k + steps * state.spec.d
+                                 else real(bk, state, m))
+
+
+@pytest.mark.parametrize("check, patch", [
+    ("factorized-vs-carrier", _factorized_off_by_one_site),
+    ("fine-vs-carrier",
+     lambda mp: mp.setattr(cli, "evolve_fine", _fine_stuck_at(1))),
+    ("inverse", lambda mp: mp.setattr(cli, "evolve_T_factorized", lambda bk, state, t: (
+        state if t == -1 else automaton.evolve_T_factorized(bk, state, t)))),
+    ("conservation", lambda mp: mp.setattr(
+        automaton.AutomatonState, "weight_profile", lambda state: {"at": state.window_start})),
+    ("two-step", lambda mp: mp.setattr(cli, "evolve_fine", _fine_stuck_at(2))),
+])
+def test_verify_corollary_checks_fire(monkeypatch, capsys, check, patch):
+    patch(monkeypatch)
+    code, out, _ = run(capsys, "verify", "corollary", "--algebra", "A1",
+                       "--rank", "2", "--trials", "6", "--seed", "0",
+                       "--max-window", "4", "--max-cap", "2")
+    doc = json.loads(out)
+    assert code == 1 and doc["failures"]
+    assert {p["check"] for f in doc["failures"] for p in f["problems"]} == {check}
+
+
+def test_verify_columns_cell_failure_fires(monkeypatch, capsys):
+    # a raising cell that never changes its site disagrees with the chain
+    real = automaton.vertex_step
+    monkeypatch.setattr(automaton, "vertex_step",
+                        lambda bk, i, s, b: (b, real(bk, i, s, b)[1]))
+    code, out, _ = run(capsys, "verify", "columns", "--algebra", "A1",
+                       "--rank", "2", "--l", "2", "--trials", "10", "--seed", "1")
+    doc = json.loads(out)
+    assert code == 1 and doc["failures"]
+    for entry in doc["failures"]:
+        report = entry["report"]
+        assert not report["ok"] and not report["cells_ok"]
+        assert report["outputs"] == report["oracle_t"]
+
+
+def test_simulate_all_modes_disagree_exit_5(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "evolve_fine", _fine_stuck_at(2))
+    code, out, err = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
+                         "--background-k", "1", "--state", ".".join(ROWS[0]),
+                         "--steps", "3", "--mode", "all", "--sep", "", "--pad", "3")
+    assert code == 5
+    assert out.splitlines() == ROWS  # the rows are the carrier's
+    assert err == "modes disagree at step 2\n"
+
+
+def test_missing_table_pair_is_internal_error(tmp_path, monkeypatch, capsys):
+    # a stored table holds every pair of valid elements, so a pair missing
+    # from one is a fault inside the package, not a bad R table
+    path = tmp_path / "b1.graph"
+    path.write_text("A1 1 1\n1 1 2\n2 0 1\n")
+    monkeypatch.setattr(rmatrix, "get_table", lambda bk, l, m: {})
+    spec = AlgebraSpec("A1", 1)
+    clear_tables()
+    try:
+        bk = make_backend(spec, (str(path),))
+        with pytest.raises(AssertionError, match="pair 1.2 missing from a complete R table"):
+            rmatrix.r_elementary(bk, parse_element(spec, "1"), parse_element(spec, "2"))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "A1", "--rank", "1",
+                             "--crystal-graph", str(path), "--lhs", "1", "--rhs", "2")
+    finally:
+        clear_tables()
+    assert (code, out) == (6, "")
+    assert err == "internal error: pair 1.2 missing from a complete R table\n"
+
+
 def test_graph_export_check_roundtrip(tmp_path, capsys):
     path = tmp_path / "a1_b2.graph"
     code, _, _ = run(capsys, "graph", "export", "--algebra", "A1", "--rank", "1",
@@ -457,13 +548,11 @@ def test_import_loads_no_thread_pool():
     assert proc.stdout == "[]\n"
 
 
-def test_import_leaves_sigma_memo_empty():
-    # the memo of sigma powers and the partner pools fill on first use,
-    # never at import
-    proc = run_python("-c", "import crystal_ca; "
-                            "print(crystal_ca.crystal._SIGMA_POWS, crystal_ca.rmatrix._POOLS)")
+def test_import_leaves_the_memo_store_empty():
+    # every memo fills on first use, never at import
+    proc = run_python("-c", "import crystal_ca; print(crystal_ca.crystal._MEMOS)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{} {}\n"
+    assert proc.stdout == "{}\n"
 
 
 def test_console_script_end_to_end():

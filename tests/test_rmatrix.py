@@ -25,6 +25,7 @@ from crystal_ca import (
     enumerate_crystal,
     eps,
     evolve_T,
+    evolve_T_factorized,
     get_table,
     in_domain,
     make_backend,
@@ -42,7 +43,9 @@ from crystal_ca import (
     weyl_s,
     yang_baxter_check,
 )
+from crystal_ca.crystal import memo
 from crystal_ca.rmatrix import _build_table, _scramble, auto_capacity
+from conftest import memos
 
 A1_1 = AlgebraSpec("A1", 1)
 A1_2 = AlgebraSpec("A1", 2)
@@ -80,7 +83,7 @@ def test_closed_form_matches_table(rank):
                     b2, a2 = r_elementary(bk, a, b)
                     assert (b2.x, a2.x) == table[(a.x, b.x)]
                     assert (b2.l, a2.l) == (m, l)
-        assert rmatrix._TABLES == {}
+        assert memos("tables") == {}
     finally:
         clear_tables()
 
@@ -112,9 +115,10 @@ def test_clear_tables_forgets_infinite_swaps():
         pair = rmatrix.r_infinite(A1_2, 0, (0, 1, 0), b)
         # the carrier keeps its 2, takes the site's 3 and leaves a 1
         assert pair == (parse_element(A1_2, "12"), (0, 1, 1))
-        assert rmatrix.infinite_memo(A1_2, 0)[((0, 1, 0), b.x)] is pair
+        assert memos("inf") == {(A1_2, 0): {((0, 1, 0), b.x): pair}}
+        assert memo("inf", A1_2, 0)[((0, 1, 0), b.x)] is pair
         clear_tables()
-        assert rmatrix._INF_PAIRS == {}
+        assert memos("inf") == {}
     finally:
         clear_tables()
 
@@ -155,6 +159,51 @@ def test_swaps_carry_the_callers_brace():
                     for el in r_elementary(bk, a, b):
                         assert el.spec == spec
                         assert CrystalElement(spec, el.l, el.x) == el
+    finally:
+        clear_tables()
+
+
+# one use of each memo of the store, on a backend of the caller's spec
+MEMO_USES = {
+    "tables": lambda bk: get_table(bk, 2, 1),
+    "swaps": lambda bk: r_elementary(bk, delta(bk.spec, 2, "2"), delta(bk.spec, 1, "3")),
+    "inf": lambda bk: evolve_T(bk, parse_state(bk.spec, 0, "2.3.1")),
+    "sigma": lambda bk: evolve_T_factorized(bk, parse_state(bk.spec, 0, "2.3.1"), 1),
+    "pools": lambda bk: verify_theorem(bk, (2, 1), trials=2),
+}
+
+
+def _stored_elements(value):
+    if isinstance(value, CrystalElement):
+        yield value
+    elif isinstance(value, (tuple, dict)):
+        for v in (value.values() if isinstance(value, dict) else value):
+            yield from _stored_elements(v)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_USES))
+def test_memo_store_contract(name):
+    # each memo fills only on use; a memo of elements keys on the caller's
+    # whole spec and stores only elements that carry it, so one brace's
+    # elements never reach a run under the other; tables hold coordinates
+    # and are shared by both braces
+    clear_tables()
+    try:
+        assert memos(name) == {}
+        for brace in ("upper", "lower", "upper"):
+            spec = AlgebraSpec("A1", 2, brace)
+            MEMO_USES[name](make_backend(spec))
+            stored = memos(name)
+            if name == "tables":
+                assert list(stored) == [("A1", 2, "builtin")]
+                assert not list(_stored_elements(stored))
+                continue
+            assert spec in {key[0] for key in stored}
+            for key, entries in stored.items():
+                elements = list(_stored_elements(entries))
+                assert elements and all(el.spec == key[0] for el in elements)
+        if name != "tables":
+            assert {key[0].brace for key in memos(name)} == {"upper", "lower"}
     finally:
         clear_tables()
 
@@ -464,16 +513,17 @@ def test_verify_theorem_pools_cold_warm_and_cleared(a1_2):
 
     clear_tables()
     try:
-        assert rmatrix._POOLS == {}
+        assert memos("pools") == {}
         cold = run()
-        assert sorted(l for _, l in rmatrix._POOLS) == [1, 2]
-        for (spec, l), pool in rmatrix._POOLS.items():
-            assert spec == A1_2 and pool == tuple(enumerate_crystal(A1_2, l))
-        pools = dict(rmatrix._POOLS)
+        assert list(memos("pools")) == [(A1_2,)]
+        pools = dict(memo("pools", A1_2))
+        assert sorted(pools) == [1, 2]
+        for l, pool in pools.items():
+            assert pool == tuple(enumerate_crystal(A1_2, l))
         warm = run()
-        assert all(rmatrix._POOLS[key] is pool for key, pool in pools.items())
+        assert all(memo("pools", A1_2)[l] is pool for l, pool in pools.items())
         clear_tables()
-        assert rmatrix._POOLS == {}
+        assert memos("pools") == {}
         assert run() == warm == cold
         assert cold["flagged"] and cold["passes"]
     finally:
@@ -488,6 +538,8 @@ def test_unreached_pairs_detected():
         bk = Providers(AlgebraSpec("A1", 1), {1: no_wrap})
         with pytest.raises(UnreachedElement):
             get_table(bk, 1, 1)
+        # a failed build stores nothing
+        assert not any(memos("tables").values())
     finally:
         clear_tables()
 
