@@ -138,43 +138,20 @@ class AlgebraSpec(Record):
 
     def sigma_index(self, i: int) -> int:
         """Action of sigma on the Dynkin index set."""
-        n = self.rank
         if i not in self.index_set:
-            raise ValueError(f"index {i} outside 0..{n}")
-        if self.family == "A1":
-            return (i - 1) % (n + 1)
-        if self.family in ("A2odd", "B1"):
-            return {0: 1, 1: 0}.get(i, i)
-        if self.family == "D1":
-            return {0: 1, 1: 0, n: n - 1, n - 1: n}.get(i, i)
-        return i
+            raise ValueError(f"index {i} outside 0..{self.rank}")
+        return _sigma(self.family, self.rank).index[i]
 
     @property
     def sigma_order(self) -> int:
-        if self.family == "A1":
-            return self.rank + 1
-        if self.family in ("A2odd", "B1", "D1"):
-            return 2
-        return 1
+        return _sigma(self.family, self.rank).order
 
     def sigma_letter(self, a: str) -> str:
         """Letterwise action of sigma on words (second table column)."""
-        n = self.rank
-        if self.family == "A1":
-            v = int(a) - 1
-            return str(n + 1 if v == 0 else v)
-        if self.family in ("A2odd", "B1"):
-            return {"1": "1b", "1b": "1"}.get(a, a)
-        if self.family == "D1":
-            swap = {"1": "1b", "1b": "1", str(n): str(n) + "b", str(n) + "b": str(n)}
-            return swap.get(a, a)
-        return a
+        return _sigma(self.family, self.rank).letter.get(a, a)
 
     def sigma_letter_inv(self, a: str) -> str:
-        if self.family == "A1":
-            v = int(a) + 1
-            return str(1 if v == self.rank + 2 else v)
-        return self.sigma_letter(a)
+        return _sigma(self.family, self.rank).letter_inv.get(a, a)
 
     # -- translation data ------------------------------------------------------
 
@@ -266,6 +243,37 @@ def slot_rules(family: str, n: int) -> SlotRules:
     return SlotRules(index, slack, units, index.get("0"), pair, sigma)
 
 
+class Sigma(NamedTuple):
+    """The diagram automorphism sigma on indices and on letters."""
+
+    index: tuple[int, ...]  # index[i] = sigma(i)
+    letter: dict[str, str]  # each letter sigma moves -> its image
+    letter_inv: dict[str, str]
+    order: int
+
+
+@lru_cache(maxsize=None)
+def _sigma(family: str, n: int) -> Sigma:
+    """sigma from one rule per family: A1 rotates the indices and the letters
+    by one step; A2odd, B1 and D1 swap index pairs (i, j), and with each the
+    letters j and jb; the other families fix everything."""
+    identity = list(range(n + 1))
+    if family == "A1":
+        letters = [str(a) for a in range(1, n + 2)]
+        index = identity[-1:] + identity[:-1]
+        letter = dict(zip(letters, letters[-1:] + letters[:-1]))
+    else:
+        index, letter = identity[:], {}
+        swaps = {"A2odd": [(0, 1)], "B1": [(0, 1)], "D1": [(0, 1), (n - 1, n)]}
+        for i, j in swaps.get(family, ()):
+            index[i], index[j] = j, i
+            letter.update({str(j): f"{j}b", f"{j}b": str(j)})
+    order, power = 1, index
+    while power != identity:
+        power, order = [index[i] for i in power], order + 1
+    return Sigma(tuple(index), letter, {b: a for a, b in letter.items()}, order)
+
+
 @lru_cache(maxsize=None)
 def _sequences(spec: AlgebraSpec) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """One full period of k -> i_k and k -> a_k, indexed by k mod d * order(sigma).
@@ -324,7 +332,7 @@ def _translation_data(family: str, n: int, brace: str) -> TranslationData:
             a_seq[k] = str(n + 1 - k)
         for k in range(n + 1, d + 1):
             a_seq[k] = str(k - n) + "b"
-    elif family == "D1":
+    else:  # D1; AlgebraSpec has refused every other family
         d = 2 * n - 2
         i_seq = [0] * d
         i_seq[0] = n
@@ -342,8 +350,6 @@ def _translation_data(family: str, n: int, brace: str) -> TranslationData:
         for k in range(n, 2 * n - 2):
             a_seq[k] = str(k - n + 2) + "b"
         a_seq[d] = str(n)
-    else:  # pragma: no cover - guarded by AlgebraSpec
-        raise ValueError(family)
 
     data = TranslationData(d, tuple(i_seq), tuple(a_seq))
     spec = AlgebraSpec(family, n, brace)

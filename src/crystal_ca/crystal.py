@@ -388,13 +388,11 @@ def weyl_s(bk, i: int, b: Element) -> Element:
 # diagram automorphism on elements
 
 
-def sigma_letterwise(b: Element) -> Element:
+def sigma_letterwise(b: CrystalElement) -> CrystalElement:
     """The automorphism in its explicit letter form (no backend needed).
 
     It only permutes slots, so the image of a valid element is valid.
     """
-    if isinstance(b, Tensor):
-        return Tensor._trusted(tuple([sigma_letterwise(f) for f in b.factors]))
     spec = b.spec
     return CrystalElement._trusted(spec, b.l, spec.slots.sigma(b.x))
 
@@ -423,13 +421,8 @@ def sigma_letterwise_pow(b: Element, power: int) -> Element:
     return img
 
 
-def sigma_via_weyl(bk, b: Element, k: int = 0) -> Element:
-    """The automorphism as a Weyl-operator chain; independent of k in [0, d].
-
-    On tensors it acts factor-wise, matching the letterwise form.
-    """
-    if isinstance(b, Tensor):
-        return Tensor(tuple(sigma_via_weyl(bk, f, k) for f in b.factors))
+def sigma_via_weyl(bk, b: CrystalElement, k: int = 0) -> CrystalElement:
+    """The automorphism as a Weyl-operator chain; independent of k in [0, d]."""
     spec = b.spec
     if not 0 <= k <= spec.d:
         raise ValueError(f"k must lie in 0..{spec.d}, got {k}")
@@ -527,11 +520,15 @@ def t_failures(bk, elements):
 # enumeration
 
 
-def enumerate_crystal(spec: AlgebraSpec, l: int, cap: int = 200_000) -> list[CrystalElement]:
+_ENUM_CAP = 200_000  # elements one enumeration may return
+
+
+def enumerate_crystal(spec: AlgebraSpec, l: int) -> list[CrystalElement]:
     """All elements of B_l in lexicographic coordinate order.
 
     Walks the vectors of coordinate sum at most l (exactly l without a slack
     letter, spin slot at most 1) and keeps those the constructor accepts.
+    More than _ENUM_CAP elements raise CapExceeded.
     """
     if l < 1:
         raise ValueError(f"capacity must be positive, got {l}")
@@ -546,8 +543,8 @@ def enumerate_crystal(spec: AlgebraSpec, l: int, cap: int = 200_000) -> list[Cry
                 el = CrystalElement(spec, l, tuple(prefix))
             except ValueError:
                 return
-            if len(out) >= cap:
-                raise CapExceeded(f"enumeration of {spec.family} B_{l} exceeds cap {cap}")
+            if len(out) >= _ENUM_CAP:
+                raise CapExceeded(f"enumeration of {spec.family} B_{l} exceeds cap {_ENUM_CAP}")
             out.append(el)
             return
         hi = min(l - used, 1) if pos == slots.spin else l - used

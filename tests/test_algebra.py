@@ -78,6 +78,14 @@ def test_sigma_index_is_diagram_automorphism():
             assert spec.sigma_index(inv) == i
 
 
+@pytest.mark.parametrize("fam, rank", [("A1", 2), ("D1", 4), ("C1", 2)])
+def test_sigma_index_outside_index_set(fam, rank):
+    spec = AlgebraSpec(fam, rank)
+    for i in (-1, rank + 1):
+        with pytest.raises(ValueError, match=f"^index {i} outside 0..{rank}$"):
+            spec.sigma_index(i)
+
+
 def test_sigma_orders():
     assert AlgebraSpec("A1", 3).sigma_order == 4
     assert AlgebraSpec("A2odd", 3).sigma_order == 2

@@ -118,10 +118,14 @@ def test_pattern_validation():
         parse_state(A11, 1, "12.1")
     with pytest.raises(ValueError, match="positive"):
         parse_state(A11, 1, "1", pattern=(0,))
+    # a B_1 element of rank 3 sits at a B_1 site of a rank-1 line
+    with pytest.raises(ValueError, match="^window element from a different algebra$"):
+        AutomatonState(A11, 1, 0, (parse_element(A13, "2"),), (1,))
 
 
 def test_site_and_render():
     s = intro_state()
+    assert repr(s) == "<state k=1 @3 2.2.1.1.2>"
     assert s.site(3).word() == "2"
     assert s.site(0).word() == "1" and s.site(40).word() == "1"
     assert s.render(0, 15, sep="") == ROWS[0]

@@ -74,6 +74,23 @@ def test_simulate_all_modes_rows(capsys):
     assert err == ""
 
 
+def test_simulate_factorized_rows(capsys):
+    code, out, err = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
+                         "--background-k", "1", "--state", ".".join(ROWS[0]),
+                         "--steps", "3", "--mode", "factorized", "--sep", "", "--pad", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ROWS
+
+
+def test_simulate_all_background_line(capsys):
+    # no row has a window, so the rows span -pad..pad around site 0
+    code, out, err = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
+                         "--background-k", "1", "--state", "1.1", "--steps", "2",
+                         "--sep", "", "--pad", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["11111"] * 3
+
+
 def test_simulate_emit_json(tmp_path, capsys):
     path = tmp_path / "sim.json"
     code, _, _ = run(capsys, "simulate", "--algebra", "A1", "--rank", "1",
@@ -212,8 +229,9 @@ def test_verify_theorem_json_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite, args, margin", [
     ("theorem", ("--shape", "1,2"), 3),
+    ("theorem", ("--shape", "1", "--margin", "5"), 5),
     ("columns", ("--l", "2"), 2),
-], ids=["theorem", "columns"])
+], ids=["theorem", "theorem-explicit-margin", "columns"])
 def test_M_below_margin_exit_2(capsys, suite, args, margin):
     # no element of B_M is margin-dominated when M < margin: bad input, not a fault
     argv = ("verify", suite, "--algebra", "A1", "--rank", "2", *args, "--trials", "5")
@@ -450,12 +468,47 @@ def test_graph_export_check_roundtrip(tmp_path, capsys):
     assert code == 0 and out.startswith("ok: A1 rank 1 B_2")
 
 
+def test_graph_export_to_stdout(tmp_path, capsys):
+    argv = ("graph", "export", "--algebra", "A1", "--rank", "1", "--l", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / "a1_b2.graph"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert out == path.read_text()
+
+
+TAMPERED = "A1 1 2\n11 1 22\n22 0 12\n12 0 11\n"
+
+
 def test_graph_check_tampered_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.graph"
-    path.write_text("A1 1 2\n11 1 22\n22 0 12\n12 0 11\n")
+    path.write_text(TAMPERED)
     code, _, err = run(capsys, "graph", "check", str(path))
     assert code == 1
     assert "admission failed" in err
+
+
+def test_command_with_tampered_graph_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_text(TAMPERED)
+    code, out, err = run(capsys, "rmatrix", "--algebra", "A1", "--rank", "1",
+                         "--crystal-graph", str(path), "--lhs", "11", "--rhs", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: admission failed: ")
+
+
+@pytest.mark.parametrize("error", [
+    rmatrix.RMatrixError("declined"),
+    rmatrix.InapplicableError("domain", "declined"),
+], ids=["rmatrix", "inapplicable"])
+def test_declined_swap_exit_1(monkeypatch, capsys, error):
+    # no command lets these escape today; main still reports them as exit 1
+    def fail(bk, t):
+        raise error
+    monkeypatch.setattr(cli, "r_composite", fail)
+    code, out, err = run(capsys, "rmatrix", "--algebra", "A1", "--rank", "1",
+                         "--lhs", "11", "--rhs", "2")
+    assert (code, out, err) == (1, "", "error: declined\n")
 
 
 def test_graph_check_unprintable_rank_names_header(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Kashiwara operators, tensor routing, Weyl operators, the automorphism,
 and the t-map, against the coordinate backend."""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,9 @@ def test_sigma_via_weyl_k_independence(a1_2):
         base = sigma_letterwise(el)
         for k in range(SPEC2.d + 1):
             assert sigma_via_weyl(a1_2, el, k) == base
+    for k in (-1, SPEC2.d + 1):
+        with pytest.raises(ValueError, match=f"^k must lie in 0..{SPEC2.d}, got {k}$"):
+            sigma_via_weyl(a1_2, el, k)
 
 
 def test_sigma_pow(a1_2):

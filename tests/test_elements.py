@@ -10,7 +10,9 @@ from crystal_ca import (
     CrystalElement,
     FormatError,
     Tensor,
+    crystal,
     delta,
+    domain_gap,
     enumerate_crystal,
     from_counts,
     parse_element,
@@ -71,6 +73,15 @@ def test_derived_coordinates():
     assert el.get("0") == 1
 
 
+@pytest.mark.parametrize("spec, letter", [(A13, "0"), (A13, "5"), (A2ODD3, "0"), (D14, "e")])
+def test_illegal_letter_refused(spec, letter):
+    el = enumerate_crystal(spec, 1)[0]
+    with pytest.raises(ValueError, match=f"^letter '{letter}' not legal for {spec.family}$"):
+        el.get(letter)
+    with pytest.raises(FormatError, match=f"^letter '{letter}' not legal for {spec.family} rank"):
+        from_counts(spec, {"1": 1, letter: 1})
+
+
 def test_words_and_parsing_roundtrip():
     assert CrystalElement(A13, 6, (3, 2, 1, 0)).word() == "111223"
     el = from_counts(A2ODD3, {"1": 2, "2": 1, "3": 3, "3b": 1})
@@ -81,6 +92,12 @@ def test_words_and_parsing_roundtrip():
     assert d2.word() == "10ee2b"
     assert d2.l == 5
     assert parse_element(D22, "10ee2b") == d2
+
+
+def test_reprs():
+    el = parse_element(A13, "1124")
+    assert repr(el) == "<A1 B_4 2101>"
+    assert repr(Tensor((el, el))) == "<tensor 1124.1124>"
 
 
 def test_capacity_inference_per_family():
@@ -187,9 +204,13 @@ def test_enumeration_respects_constraints():
         assert el.x[3] in (0, 1)
 
 
-def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_crystal(A13, 3, cap=5)
+def test_enumeration_cap(monkeypatch):
+    # enumerate_crystal reads no memo, so the store needs no clearing here
+    monkeypatch.setattr(crystal, "_ENUM_CAP", 5)
+    with pytest.raises(CapExceeded, match="^enumeration of A1 B_3 exceeds cap 5$"):
+        enumerate_crystal(A13, 3)
+    monkeypatch.setattr(crystal, "_ENUM_CAP", 20)
+    assert len(enumerate_crystal(A13, 3)) == 20
 
 
 @pytest.mark.parametrize("l", [0, -1])
@@ -242,5 +263,7 @@ def test_slot_rules_agree_across_consumers(family, rank):
             for a in spec.a_letters:
                 # this M lets the sampler draw up to l on every other slot
                 u = sample_domain_element(spec, margin + (size + 1) * l, a, margin, rng)
+                # at this M the sampler's bound on the gap is tight
+                assert domain_gap(u, a) >= margin
                 for x in (u.x, _scramble(u, rng).x):
                     assert _valid(spec, u.l, x)

@@ -1,14 +1,17 @@
 """The benchmark's contract with the package, checked without running it.
 
 perfbench/ reaches into the package by name: its workloads call public
-functions with fixed keyword arguments, and its tracer replaces functions,
-private ones included, and silently skips a name that is gone.  A rename
+functions with fixed keyword arguments, its microbenchmarks call the layer
+functions directly, and its tracer replaces functions, private ones
+included, and silently skips a name that is gone.  A rename
 there would only zero a metric or fail a benchmark run, so these tests load
-the benchmark's own modules, unchanged, and exercise both.
+the benchmark's own modules, unchanged, and exercise them.
 """
 import ast
 import importlib.util
+import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,14 @@ def test_tracer_wraps_every_target():
         tracer.uninstall()
     for (mod, name), original in originals.items():
         assert getattr(modules[mod], name) is original
+
+
+def test_microbenchmarks_run(monkeypatch):
+    # micro.py imports its sibling as "workloads"; the trace phase runs it once
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    micro = _load("micro")
+    micro.REPEATS = 1
+    figures = micro.run(make_backend(workloads.SPEC))
+    assert figures
+    for name, value in figures.items():
+        assert math.isfinite(value) and value > 0, (name, value)

@@ -317,6 +317,20 @@ def test_factorized_needs_two_factors(a1_3):
         r_factorized(a1_3, Tensor((parse_element(A1_3, "112"),)))
 
 
+def test_factorized_default_margin_is_partner_capacity(a1_2):
+    # without a margin the domain asks for a gap of sum(partner capacities),
+    # here 2, over letter a_0 = 3
+    t = parse_tensor(A1_2, "12333.13")
+    assert domain_gap(t.factors[0], "3") == 2
+    image, _ = r_factorized(a1_2, t)
+    assert image == r_composite(a1_2, t)
+    t = parse_tensor(A1_2, "22333.13")
+    assert domain_gap(t.factors[0], "3") == 1
+    with pytest.raises(InapplicableError, match="not 2-dominated by letter 3") as exc:
+        r_factorized(a1_2, t)
+    assert exc.value.reason == "domain"
+
+
 def _reference_chain(bk, t, k, margin):
     """r_factorized written with the public eps, phi and weyl_s, one
     signature pass per call: the reference for its single-pass steps."""
@@ -400,6 +414,15 @@ def test_domain_sampler_property(spec, margin, kshift, seed):
     el = sample_domain_element(spec, M, a, margin, rng)
     assert el.l == M
     assert in_domain(el, a, margin)
+
+
+def test_domain_sampler_refuses_bad_arguments():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="^M=4 is below the domain margin 5$"):
+        sample_domain_element(A1_2, 4, "3", 5, rng)
+    # C1's "0" is a slack letter: it has no slot to hold the dominant weight
+    with pytest.raises(ValueError, match="^letter '0' has no stored slot$"):
+        sample_domain_element(AlgebraSpec("C1", 2), 6, "0", 1, rng)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
