@@ -450,22 +450,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except BackendMissing as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except GraphError as err:
+    except (GraphError, InapplicableError, RMatrixError) as err:  # before ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (InapplicableError, RMatrixError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # FormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

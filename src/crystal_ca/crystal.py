@@ -248,20 +248,16 @@ def parse_element(spec: AlgebraSpec, text: str, l: int | None = None) -> Crystal
     return from_counts(spec, counts, l)
 
 
-def parse_tensor(spec: AlgebraSpec, text: str, shape: tuple[int, ...] | None = None) -> Tensor:
+def parse_tensor(spec: AlgebraSpec, text: str) -> Tensor:
     """Parse dot-separated factors, e.g. "1 2b.3.3b 1b.2"."""
     _check_rank_printable(spec)  # a rank error belongs to no factor position
-    parts = text.split(".")
-    if shape is not None and len(shape) != len(parts):
-        raise FormatError(f"expected {len(shape)} factors, got {len(parts)}")
     offset = 0
     factors = []
-    for j, part in enumerate(parts):
+    for part in text.split("."):
         if not part.strip():
             raise FormatError("empty tensor factor", pos=offset)
-        want = None if shape is None else shape[j]
         try:
-            factors.append(parse_element(spec, part, want))
+            factors.append(parse_element(spec, part))
         except FormatError as err:
             pos = offset + err.pos if err.pos is not None else offset
             raise FormatError(str(err).split(" (position")[0], pos=pos) from None
@@ -495,25 +491,21 @@ def t_closed(b: CrystalElement) -> tuple[int, ...]:
             + [g("e")]
             + [g(f"{a}b") for a in range(1, n)]
         )
-    if len(out) != spec.d:
-        raise AssertionError(f"t-vector length {len(out)} != d={spec.d}")
     return tuple(out)
 
 
 def t_failures(bk, elements):
     """The t-map's law failures on `elements`, lazily and in order: a
-    "closed-form" entry when the definition misses t_closed, and an
-    "injectivity" entry when an element repeats an earlier element's value."""
-    seen: dict[tuple[int, ...], CrystalElement] = {}
+    "closed-form" entry when the definition misses t_closed.
+
+    t_closed is injective on B_l in every family, so on distinct elements the
+    closed-form check also shows that the t-map separates points.
+    """
     for el in elements:
         tv, closed = t_def(bk, el), t_closed(el)
         if tv != closed:
             yield {"element": el.word(), "check": "closed-form",
                    "expected": list(closed), "got": list(tv)}
-        if tv in seen:
-            yield {"element": el.word(), "check": "injectivity",
-                   "collides": seen[tv].word()}
-        seen[tv] = el
 
 
 # ---------------------------------------------------------------------------

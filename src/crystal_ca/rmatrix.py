@@ -367,6 +367,8 @@ def auto_capacity(spec: AlgebraSpec, margin: int) -> int:
 def sample_domain_element(spec: AlgebraSpec, M: int, a: str, margin: int,
                           rng: random.Random) -> CrystalElement:
     """A random element of B_M inside the letter-a domain at the margin."""
+    if margin < 0:
+        raise ValueError(f"the domain margin must be non-negative, got {margin}")
     if M < margin:
         raise ValueError(f"M={M} is below the domain margin {margin}")
     slots = spec.slots
@@ -450,6 +452,8 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
                             "reason": err.reason, "step": err.step})
             continue
         problems = []
+        # got's last factor is sigma of the last state's first factor, and t is
+        # injective: this check also covers the final t-statistics
         if got != expected:
             problems.append(
                 {"check": "image", "expected": expected.word(), "got": got.word()}
@@ -468,15 +472,6 @@ def verify_theorem(bk, shape: tuple[int, ...], k: int = 0, trials: int = 100,
                 problems.append(
                     {"check": "chain-eps", "expected": str(chain_phi),
                      "got": str(left_eps), "step": k + j}
-                )
-        # equal elements have equal t-vectors: compare those only on a mismatch
-        v_oracle = expected.factors[-1]
-        sigma_final = sigma_letterwise(states[-1].factors[0])
-        if sigma_final != v_oracle:
-            want, have = t_def(bk, v_oracle, k), t_def(bk, sigma_final, k)
-            if want != have:
-                problems.append(
-                    {"check": "t-final", "expected": str(want), "got": str(have)}
                 )
         if problems:
             entry = {"seed": trial_seed, "input": t.word(), "problems": problems,

@@ -182,6 +182,11 @@ def test_tampered_graph_fails_admission(tmp_path):
     # the same arrows on coordinates 11 = (2, 0), 12 = (1, 1), 22 = (0, 2)
     edges = {(1, (2, 0)): (0, 2), (0, (0, 2)): (1, 1), (0, (1, 1)): (2, 0)}
     assert admission_errors(GraphProvider("A1", 1, 2, edges)) != []
+    # B_1 with its two colors swapped: structurally legal, and the first law
+    # to fail is the delta chain's
+    edges = {(0, (1, 0)): (0, 1), (1, (0, 1)): (1, 0)}
+    errs = admission_errors(GraphProvider("A1", 1, 1, edges))
+    assert errs[:2] == ["[upper] phi_1(delta[2]) != 0", "[upper] e-max_1 misses delta[1]"]
 
 
 def test_make_backend_family_mismatch(tmp_path):

@@ -1,6 +1,7 @@
 """Command line surface: output shapes, exit codes, JSON reports."""
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -211,7 +212,7 @@ def test_verify_theorem_margin0_mismatch_outside_domain_is_flagged(capsys):
     [entry] = json.loads(out)["flagged_examples"]
     assert code == 0 and entry["reason"] == "outside-domain"
     assert entry["input"] == "34444.223.124"
-    assert [p["check"] for p in entry["problems"]] == ["image", "t-final"]
+    assert [p["check"] for p in entry["problems"]] == ["image"]
 
 
 def test_verify_theorem_json_deterministic(tmp_path, capsys):
@@ -574,6 +575,18 @@ def test_console_script_help():
     for proc in (console_script("--help"), run_python("-m", "crystal_ca", "--help")):
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "verify" in proc.stdout
+
+
+@pytest.mark.filterwarnings("ignore:'crystal_ca.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["crystal_ca", "crystal_ca.cli"])
+def test_entry_point_modules_in_process(monkeypatch, capsys, module):
+    # `python -m crystal_ca` and `python -m crystal_ca.cli`, run in this process
+    monkeypatch.setattr(sys, "argv", [module, "graph", "export", "--algebra", "A1",
+                                      "--rank", "1", "--l", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("A1 1 1\n")
 
 
 def test_theorem_has_no_jobs_flag(capsys):

@@ -134,8 +134,6 @@ def test_parse_tensor():
     assert [f.word() for f in t.factors] == ["12b", "3", "3b1b", "2"]
     with pytest.raises(FormatError):
         parse_tensor(A13, "11..22")
-    with pytest.raises(FormatError):
-        parse_tensor(A13, "11.22", shape=(2, 2, 2))
 
 
 def test_parse_tensor_error_positions():
