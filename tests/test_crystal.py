@@ -1,5 +1,7 @@
 """Kashiwara operators, tensor routing, Weyl operators, the automorphism,
 and the t-map, against the coordinate backend."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from crystal_ca import (
     weyl_s,
 )
 from crystal_ca.algebra import _MIN_RANK
-from crystal_ca.crystal import t_failures
+from crystal_ca.crystal import t_failures, weyl_step
 
 SPEC2 = AlgebraSpec("A1", 2)
 SPEC3 = AlgebraSpec("A1", 3)
@@ -190,6 +192,24 @@ def test_e_max_f_max(a1_3):
     assert e_max(a1_3, 0, u).word() == "223444"
     assert eps(a1_3, 0, e_max(a1_3, 0, u)) == 0
     assert phi(a1_3, 1, f_max(a1_3, 1, u)) == 0
+
+
+@pytest.mark.parametrize("backend", ["a1_1", "a1_2", "a1_3", "a1_1_graph"])
+def test_weyl_step_swaps_eps_and_phi(request, backend):
+    # eps_i(S_i t) = phi_i(t) and phi_i(S_i t) = eps_i(t) hold in every
+    # seminormal crystal; r_factorized's locality check reads the step's phi
+    # as the eps of its image, so this is the law that check stands on
+    bk = request.getfixturevalue(backend)
+    spec = bk.spec
+    pools = {l: enumerate_crystal(spec, l) for l in (1, 2, 3, 4)}
+    rng = random.Random(3)
+    for _ in range(60):
+        t = Tensor(tuple(rng.choice(pools[rng.randint(1, 4)])
+                         for _ in range(rng.randint(1, 4))))
+        for i in spec.index_set:
+            e, p, image = weyl_step(bk, i, t)
+            assert (e, p) == (eps(bk, i, t), phi(bk, i, t))
+            assert (eps(bk, i, image), phi(bk, i, image)) == (p, e), (t.word(), i)
 
 
 def test_weyl_fixed_point(a1_3):

@@ -1,4 +1,6 @@
 """Swap tables, the factorized swap, side conditions, the verification suite."""
+import dis
+import inspect
 import itertools
 import random
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystal_ca import automaton, rmatrix
+from crystal_ca import automaton, cli, rmatrix
 from crystal_ca import (
     AlgebraSpec,
     CrystalElement,
@@ -384,6 +386,64 @@ def test_factorized_matches_reference_chain(request, backend):
     assert all(seen.values()), seen
 
 
+# the factorized form's own names (ROADMAP D22): no oracle code may load them
+CHAIN_NAMES = {
+    "weyl_step", "weyl_s", "_signature", "_power", "r_factorized",
+    "sigma_letterwise", "sigma_letterwise_pow", "_sweep", "evolve_T_factorized",
+    "eps", "phi", "e_max", "f_max", "apply_e", "apply_f", "t_def",
+}
+
+
+def _package_globals_reached(*entries):
+    """The names of the package functions and classes that the entry points
+    load as globals, transitively: each LOAD_GLOBAL of a function's code and
+    of its nested code is followed into the package function it names, or
+    into every method of the package class and its package bases.  Attribute
+    loads such as bk.eps(...) are not globals and are not followed."""
+    def ours(obj):
+        return getattr(obj, "__module__", "").startswith("crystal_ca")
+
+    reached, done, todo = set(), set(), list(entries)
+    while todo:
+        obj = inspect.unwrap(todo.pop())
+        if isinstance(obj, type):
+            for member in (m for klass in obj.__mro__ if ours(klass)
+                           for m in vars(klass).values()):
+                member = getattr(member, "__func__", member)
+                todo += [f for f in (member, getattr(member, "fget", None))
+                         if inspect.isfunction(f)]
+            continue
+        if obj in done:
+            continue
+        done.add(obj)
+        codes = [obj.__code__]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if inspect.iscode(c)]
+            for ins in dis.get_instructions(code):
+                if ins.opname != "LOAD_GLOBAL":
+                    continue
+                target = obj.__globals__.get(ins.argval)
+                assert not inspect.ismodule(target), (
+                    f"{ins.argval}: a module's attributes are not followed")
+                if ours(target) and ins.argval not in reached:
+                    reached.add(ins.argval)
+                    todo.append(target)
+    return reached
+
+
+@pytest.mark.parametrize("entry", [r_elementary, r_composite, get_table,
+                                   automaton.evolve_carrier, evolve_T, yang_baxter_check],
+                         ids=lambda f: f.__name__)
+def test_oracle_never_loads_the_chain(entry):
+    reached = _package_globals_reached(entry)
+    assert reached and not reached & CHAIN_NAMES, sorted(reached & CHAIN_NAMES)
+
+
+def test_chain_reach_positive_control():
+    assert {"weyl_step", "_signature", "eps"} <= _package_globals_reached(r_factorized)
+
+
 def test_domain_gap_values():
     u = parse_element(A1_3, "111223")
     assert domain_gap(u, "1") == 1
@@ -489,21 +549,42 @@ def test_verify_theorem_runs_in_one_thread(a1_2):
             verify_theorem(a1_2, (2, 1), k=2, trials=24, seed=3, jobs=jobs)
 
 
-@pytest.mark.parametrize("check, on", [("phi-left", CrystalElement), ("chain-eps", Tensor)])
+@pytest.mark.parametrize("check, on", [("phi-left", CrystalElement)])
 def test_verify_theorem_step_detectors_fire(monkeypatch, a1_2, check, on):
-    # the chain reads no rmatrix.phi: a phi off by one on single elements
-    # reaches only the phi-left check, and on tensors only chain-eps
+    # rmatrix.phi is read only by the phi-left check, never by the chain, so
+    # a phi one too high on single elements leaves every image right and
+    # fails phi-left at each step
     real = rmatrix.phi
     monkeypatch.setattr(rmatrix, "phi", lambda bk, i, b: real(bk, i, b) + isinstance(b, on))
     report = verify_theorem(a1_2, (2, 1), k=1, trials=6, seed=7)
     assert report["passes"] == report["flagged"] == 0
-    shift = 1 if check == "chain-eps" else -1
     assert len(report["failures"]) == 6
     for entry in report["failures"]:
         assert entry["expected"] == entry["got"]
         assert [(p["check"], p["step"], int(p["expected"]) - int(p["got"]))
-                for p in entry["problems"]] == [(check, 1 + j, shift)
+                for p in entry["problems"]] == [(check, 1 + j, -1)
                                                 for j in range(1, A1_2.d + 1)]
+
+
+def test_broken_eps_hand_off_is_an_internal_fault(monkeypatch, capsys, a1_2):
+    # the locality check reads the step's phi as the eps of its image; a step
+    # whose phi the image's own eps contradicts is a fault of the package,
+    # not a declined input
+    real = rmatrix.weyl_step
+
+    def off_by_one(bk, i, t):
+        e, p, image = real(bk, i, t)
+        return e, p + 1, image
+
+    t = parse_tensor(A1_2, "12333.13")
+    assert r_factorized(a1_2, t)[0] == r_composite(a1_2, t)
+    monkeypatch.setattr(rmatrix, "weyl_step", off_by_one)
+    with pytest.raises(AssertionError, match=r"^eps_2\(S_2 t\) != phi_2\(t\) at step 1$"):
+        r_factorized(a1_2, t)
+    argv = ["verify", "theorem", "--algebra", "A1", "--rank", "2", "--shape", "2,1",
+            "--trials", "4"]
+    assert cli.main(argv) == 6
+    assert capsys.readouterr().err.startswith("internal error: eps_")
 
 
 def test_verify_theorem_pools_cold_warm_and_cleared(a1_2):
